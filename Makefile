@@ -74,13 +74,13 @@ bench-json:
 	go run ./cmd/bench -out BENCH_sim.json
 
 # Smoke-check the bench harness itself: the smallest scenario set plus
-# the adjacency delta-vs-rebuild scenarios, one iteration, quick
-# durations, written to scratch files (never clobbers the committed
-# BENCH_sim.json). CI runs this to catch scenario-setup bit-rot without
-# asserting anything about timing.
+# one topology adjacency-build scenario, one iteration, quick durations,
+# written to scratch files (never clobbers the committed BENCH_sim.json).
+# CI runs this to catch scenario-setup bit-rot without asserting
+# anything about timing.
 bench-smoke:
 	go run ./cmd/bench -quick -benchtime 1x -only macsim -out /tmp/bench-smoke.json
-	go run ./cmd/bench -quick -benchtime 1x -only delta -out /tmp/bench-smoke-delta.json
+	go run ./cmd/bench -quick -benchtime 1x -only topology/adjacency-n500 -out /tmp/bench-smoke-topology.json
 
 # Capture CPU and heap profiles of the n=1000 multihop scenario (the
 # fire-slot calendar's home turf). Inspect with `go tool pprof cpu.pprof`.

@@ -45,8 +45,7 @@ import (
 	"selfishmac/internal/topology"
 )
 
-// detectionName is the streaming-detection scenario; run() keys the
-// flag-latency distribution in File.Detection off it.
+// detectionName is the streaming-detection scenario.
 const detectionName = "macsim/detection-n10-w166"
 
 func main() {
@@ -114,7 +113,8 @@ type DetectionStats struct {
 // runRef must simulate the identical trajectory; events is the per-run
 // event count used for the events/sec rate. The labels default to
 // "fast"/"reference"; the detection scenario relabels them
-// "observed"/"plain" (same engine, observer hook on vs off).
+// "observed"/"plain" (same engine, observer hook on vs off) and sets
+// dist, which computes its flag-latency distribution after timing.
 type scenario struct {
 	name      string
 	events    int64
@@ -122,6 +122,14 @@ type scenario struct {
 	refLabel  string
 	runFast   func() error
 	runRef    func() error
+	dist      func() (*DetectionStats, error)
+}
+
+// namedScenario defers a scenario's construction — network builds,
+// probe runs — until -only has selected it.
+type namedScenario struct {
+	name  string
+	build func() (scenario, error)
 }
 
 func uniformCW(w, n int) []int {
@@ -206,10 +214,9 @@ func multihopScenario(name string, topoCfg topology.Config, cfg multihop.SimConf
 // efficient-NE window, one Wc*/8 cheater) is timed with a stream.Monitor
 // on the observer hook ("observed") and without one ("plain") — the
 // trajectories are bit-identical, so events/sec is directly comparable
-// and the ratio is the observer's overhead. The returned closure
-// computes the flag-latency distribution over independent seeds; run()
-// calls it only when the scenario passes the -only filter.
-func detectionScenario(name string, quick bool) (scenario, func() (*DetectionStats, error), error) {
+// and the ratio is the observer's overhead. The scenario's dist closure
+// computes the flag-latency distribution over independent seeds.
+func detectionScenario(name string, quick bool) (scenario, error) {
 	const n, expected, cheatCW = 10, 166, 20
 	const windowSlots = 1500
 	dur, distRuns := 30e6, 32
@@ -229,20 +236,20 @@ func detectionScenario(name string, quick bool) (scenario, func() (*DetectionSta
 	}
 	plainEng, err := macsim.NewEngine(base)
 	if err != nil {
-		return scenario{}, nil, err
+		return scenario{}, err
 	}
 	mon, err := stream.NewMonitor(stream.Config{
 		Nodes: n, WindowSlots: windowSlots, Keep: 4,
 		MaxStage: base.MaxStage, ExpectedCW: expected, Beta: 0.6,
 	})
 	if err != nil {
-		return scenario{}, nil, err
+		return scenario{}, err
 	}
 	observed := base
 	observed.Observer = mon
 	obsEng, err := macsim.NewEngine(observed)
 	if err != nil {
-		return scenario{}, nil, err
+		return scenario{}, err
 	}
 	obsEng.Reset(base.Seed)
 	probe := obsEng.Run()
@@ -267,7 +274,7 @@ func detectionScenario(name string, quick bool) (scenario, func() (*DetectionSta
 			return nil
 		},
 	}
-	dist := func() (*DetectionStats, error) {
+	sc.dist = func() (*DetectionStats, error) {
 		st := &DetectionStats{Scenario: name, Runs: distRuns, WindowSlots: windowSlots}
 		var latencies []float64
 		var flags int64
@@ -295,143 +302,7 @@ func detectionScenario(name string, quick bool) (scenario, func() (*DetectionSta
 		}
 		return st, nil
 	}
-	return sc, dist, nil
-}
-
-// rebuildNet hides the concrete *topology.Network type so the multihop
-// engine misses its `*topology.Network` probe and takes the re-snapshot
-// path (AdjacencyInto per op and per mobility step) instead of binding
-// the incremental adjacency view. Method promotion keeps the mobility
-// and refill fast paths intact, so the two columns simulate bit-identical
-// trajectories — the differential matrix pins that — and differ only in
-// how adjacency is maintained.
-type rebuildNet struct{ *topology.Network }
-
-// staticMultihopScenario runs both columns over ONE shared static
-// network: the delta column (plain network) binds the pooled engine's
-// adjacency view on the first op and pays no adjacency work afterwards —
-// the "amortised to stage 0" fast path — while the rebuild column
-// re-snapshots the same network every op.
-func staticMultihopScenario(name string, topoCfg topology.Config, cfg multihop.SimConfig) (scenario, error) {
-	nw, err := topology.New(topoCfg)
-	if err != nil {
-		return scenario{}, err
-	}
-	probe, err := multihop.Simulate(nw, cfg)
-	if err != nil {
-		return scenario{}, err
-	}
-	var events int64
-	for _, nd := range probe.Nodes {
-		events += nd.Attempts
-	}
-	return scenario{
-		name:      name,
-		events:    events,
-		fastLabel: "delta",
-		refLabel:  "rebuild",
-		runFast: func() error {
-			_, err := multihop.Simulate(nw, cfg)
-			return err
-		},
-		runRef: func() error {
-			_, err := multihop.Simulate(rebuildNet{nw}, cfg)
-			return err
-		},
-	}, nil
-}
-
-// deltaMultihopScenario pits the engine's two mobile adjacency
-// maintenance paths against each other at full simulation scale: delta
-// (incremental view patch per mobility step) vs rebuild (full refill per
-// step). Fresh same-seed networks per op, as mobile runs mutate them.
-func deltaMultihopScenario(name string, topoCfg topology.Config, cfg multihop.SimConfig) (scenario, error) {
-	newNet := func() (*topology.Network, error) { return topology.New(topoCfg) }
-	nw, err := newNet()
-	if err != nil {
-		return scenario{}, err
-	}
-	probe, err := multihop.Simulate(nw, cfg)
-	if err != nil {
-		return scenario{}, err
-	}
-	var events int64
-	for _, nd := range probe.Nodes {
-		events += nd.Attempts
-	}
-	return scenario{
-		name:      name,
-		events:    events,
-		fastLabel: "delta",
-		refLabel:  "rebuild",
-		runFast: func() error {
-			nw, err := newNet()
-			if err != nil {
-				return err
-			}
-			_, err = multihop.Simulate(nw, cfg)
-			return err
-		},
-		runRef: func() error {
-			nw, err := newNet()
-			if err != nil {
-				return err
-			}
-			_, err = multihop.Simulate(rebuildNet{nw}, cfg)
-			return err
-		},
-	}, nil
-}
-
-// deltaStepScenario isolates the topology layer: one random-waypoint
-// mobility step plus adjacency refresh, patched incrementally through
-// the view (delta) vs stepped-then-refilled from the grid (rebuild), on
-// twin networks walking the same PRNG trajectory. Events counts the
-// directed links of the warmed-up snapshot. warmup seconds of simulated
-// mobility run before measuring, so configurations with pause phases
-// are sampled at their steady-state moving fraction rather than the
-// everyone-mid-first-leg initial state.
-func deltaStepScenario(name string, topoCfg topology.Config, dt, warmup float64) (scenario, error) {
-	va, err := topology.New(topoCfg)
-	if err != nil {
-		return scenario{}, err
-	}
-	vb, err := topology.New(topoCfg)
-	if err != nil {
-		return scenario{}, err
-	}
-	for done := 0.0; done < warmup; done += 20 {
-		if err := va.Step(20); err != nil {
-			return scenario{}, err
-		}
-		if err := vb.Step(20); err != nil {
-			return scenario{}, err
-		}
-	}
-	view := va.AdjacencyView()
-	var events int64
-	for _, l := range view.Rows() {
-		events += int64(len(l))
-	}
-	var buf [][]int
-	buf = vb.AdjacencyInto(buf)
-	return scenario{
-		name:      name,
-		events:    events,
-		fastLabel: "delta",
-		refLabel:  "rebuild",
-		runFast: func() error {
-			_, err := view.StepDelta(dt)
-			return err
-		},
-		runRef: func() error {
-			if err := vb.Step(dt); err != nil {
-				return err
-			}
-			buf = vb.AdjacencyInto(buf)
-			return nil
-		},
-	}, nil
+	return sc, nil
 }
 
 // adjacencyScenario measures the topology-layer neighbor build alone:
@@ -462,168 +333,67 @@ func adjacencyScenario(name string, topoCfg topology.Config) (scenario, error) {
 	}, nil
 }
 
-// scenarios assembles the suite. quick shrinks simulated durations; the
-// default profile is paper-faithful (1000 s single-hop runs in the NE
-// tables use the same engine; here 20 s keeps a full bench under a few
-// minutes while still dominated by the hot loop).
-func scenarios(quick bool) ([]scenario, func() (*DetectionStats, error), error) {
+// scenarios lists the suite; each entry builds its scenario on demand.
+// quick shrinks simulated durations; the default profile is
+// paper-faithful (1000 s single-hop runs in the NE tables use the same
+// engine; here 20 s keeps a full bench under a few minutes while still
+// dominated by the hot loop).
+func scenarios(quick bool) []namedScenario {
 	shDur, mhDur := 20e6, 60e6 // microseconds of simulated time per op
+	// Large-n durations shrink again to keep the reference loop — O(n)
+	// work per slot — tractable at these sizes.
+	mh500, mh1000, mh5000, mh10000 := 5e6, 2e6, 1e6, 5e5
 	if quick {
 		shDur, mhDur = 1e6, 1e6
+		mh500, mh1000, mh5000, mh10000 = 5e5, 2e5, 1e5, 5e4
 	}
-	var out []scenario
+	macsimRow := func(name string, w, n int) namedScenario {
+		return namedScenario{name, func() (scenario, error) { return macsimScenario(name, w, n, shDur) }}
+	}
+	// multihopRow runs uniform CW w over topo; every > 0 enables mobility.
+	multihopRow := func(name string, topo topology.Config, dur float64, seed uint64, w int, every float64) namedScenario {
+		return namedScenario{name, func() (scenario, error) {
+			cfg := multihop.DefaultSimConfig(dur, seed)
+			cfg.CW = uniformCW(w, topo.N)
+			cfg.MobilityEvery = every
+			return multihopScenario(name, topo, cfg)
+		}}
+	}
+	adjacencyRow := func(name string, topo topology.Config) namedScenario {
+		return namedScenario{name, func() (scenario, error) { return adjacencyScenario(name, topo) }}
+	}
 
-	s, err := macsimScenario("macsim/basic-n20-w336", 336, 20, shDur)
-	if err != nil {
-		return nil, nil, err
-	}
-	out = append(out, s)
-	s, err = macsimScenario("macsim/basic-n50-w879", 879, 50, shDur)
-	if err != nil {
-		return nil, nil, err
-	}
-	out = append(out, s)
-
-	// The streaming-detection observer on the same hot loop.
-	s, detDist, err := detectionScenario(detectionName, quick)
-	if err != nil {
-		return nil, nil, err
-	}
-	out = append(out, s)
-
-	// Sparse 50-node network (mean degree ~4): the acceptance scenario.
-	sparse := topology.Config{N: 50, Width: 1000, Height: 1000, Range: 180, Seed: 11}
-	simCfg := multihop.DefaultSimConfig(mhDur, 7)
-	simCfg.CW = uniformCW(116, 50)
-	s, err = multihopScenario("multihop/sparse-n50-w116", sparse, simCfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	out = append(out, s)
-
-	// The paper's Section VII.B mobile scenario at the converged Wm.
-	paper := topology.PaperConfig(13)
-	mob := multihop.DefaultSimConfig(mhDur, 9)
-	mob.CW = uniformCW(26, paper.N)
-	mob.MobilityEvery = 1e6
-	s, err = multihopScenario("multihop/mobile-n100-w26", paper, mob)
-	if err != nil {
-		return nil, nil, err
-	}
-	out = append(out, s)
-
-	// Large-n grid scenarios: the paper's density (100 nodes in 1000 m² at
-	// Range 250) held constant by growing the area with sqrt(n/100), so
-	// mean degree stays ~20 while the grid gains real cells to prune.
-	// Shorter stage durations keep the reference loop — O(n) work per
-	// slot — tractable at these sizes.
-	mh500, mh1000 := 5e6, 2e6
-	if quick {
-		mh500, mh1000 = 5e5, 2e5
-	}
+	// Large-n networks hold the paper's density (100 nodes in 1000 m² at
+	// Range 250) by growing the area with sqrt(n/100), so mean degree
+	// stays ~20 while the grid gains real cells to prune.
 	big := topology.Config{N: 500, Width: 2236, Height: 2236, Range: 250, MaxSpeed: 5, Seed: 17}
-	cfg500 := multihop.DefaultSimConfig(mh500, 17)
-	cfg500.CW = uniformCW(26, 500)
-	cfg500.MobilityEvery = 1e6
-	s, err = multihopScenario("multihop/mobile-n500-w26", big, cfg500)
-	if err != nil {
-		return nil, nil, err
-	}
-	out = append(out, s)
 	huge := topology.Config{N: 1000, Width: 3162, Height: 3162, Range: 250, MaxSpeed: 5, Seed: 19}
-	cfg1000 := multihop.DefaultSimConfig(mh1000, 19)
-	cfg1000.CW = uniformCW(26, 1000)
-	cfg1000.MobilityEvery = 5e5
-	s, err = multihopScenario("multihop/mobile-n1000-w26", huge, cfg1000)
-	if err != nil {
-		return nil, nil, err
-	}
-	out = append(out, s)
-
-	// Population scale: n=5000 and n=10000 at the same density, the
-	// regime the fire-slot calendar exists for — the old per-event O(n)
-	// min-scan grew linearly with n while the event's real work (one
-	// neighborhood) stayed constant. Durations shrink again to keep the
-	// reference loop — O(n) per slot — to seconds per op.
-	mh5000, mh10000 := 1e6, 5e5
-	if quick {
-		mh5000, mh10000 = 1e5, 5e4
-	}
 	giant := topology.Config{N: 5000, Width: 7071, Height: 7071, Range: 250, MaxSpeed: 5, Seed: 23}
-	cfg5000 := multihop.DefaultSimConfig(mh5000, 23)
-	cfg5000.CW = uniformCW(26, 5000)
-	cfg5000.MobilityEvery = 5e5
-	s, err = multihopScenario("multihop/mobile-n5000-w26", giant, cfg5000)
-	if err != nil {
-		return nil, nil, err
-	}
-	out = append(out, s)
 	colossal := topology.Config{N: 10000, Width: 10000, Height: 10000, Range: 250, MaxSpeed: 5, Seed: 29}
-	cfg10000 := multihop.DefaultSimConfig(mh10000, 29)
-	cfg10000.CW = uniformCW(26, 10000)
-	cfg10000.MobilityEvery = 2.5e5
-	s, err = multihopScenario("multihop/mobile-n10000-w26", colossal, cfg10000)
-	if err != nil {
-		return nil, nil, err
-	}
-	out = append(out, s)
 
-	// Adjacency-maintenance paths head to head. static-n1000 shares one
-	// static network across every op: the delta column's pooled view is
-	// built once and then free (adjacency amortised to stage 0), the
-	// rebuild column re-snapshots per op. mobile-n10000-delta compares the
-	// same two paths under full random-waypoint churn at the largest
-	// population, and delta-vs-rebuild isolates one mobility step +
-	// adjacency refresh at the topology layer.
-	staticHuge := topology.Config{N: 1000, Width: 3162, Height: 3162, Range: 250, Seed: 19}
-	cfgStatic := multihop.DefaultSimConfig(mh1000, 31)
-	cfgStatic.CW = uniformCW(26, 1000)
-	s, err = staticMultihopScenario("multihop/static-n1000", staticHuge, cfgStatic)
-	if err != nil {
-		return nil, nil, err
+	return []namedScenario{
+		macsimRow("macsim/basic-n20-w336", 336, 20),
+		macsimRow("macsim/basic-n50-w879", 879, 50),
+		// The streaming-detection observer on the same hot loop.
+		{detectionName, func() (scenario, error) { return detectionScenario(detectionName, quick) }},
+		// Sparse 50-node network (mean degree ~4): the acceptance scenario.
+		multihopRow("multihop/sparse-n50-w116",
+			topology.Config{N: 50, Width: 1000, Height: 1000, Range: 180, Seed: 11}, mhDur, 7, 116, 0),
+		// The paper's Section VII.B mobile scenario at the converged Wm.
+		multihopRow("multihop/mobile-n100-w26", topology.PaperConfig(13), mhDur, 9, 26, 1e6),
+		multihopRow("multihop/mobile-n500-w26", big, mh500, 17, 26, 1e6),
+		multihopRow("multihop/mobile-n1000-w26", huge, mh1000, 19, 26, 5e5),
+		// Population scale: the regime the fire-slot calendar exists for —
+		// the old per-event O(n) min-scan grew linearly with n while the
+		// event's real work (one neighborhood) stayed constant.
+		multihopRow("multihop/mobile-n5000-w26", giant, mh5000, 23, 26, 5e5),
+		multihopRow("multihop/mobile-n10000-w26", colossal, mh10000, 29, 26, 2.5e5),
+		// The adjacency build in isolation: how much of the n² the grid
+		// actually removes at these populations.
+		adjacencyRow("topology/adjacency-n500", big),
+		adjacencyRow("topology/adjacency-n1000", huge),
+		adjacencyRow("topology/adjacency-n10000", colossal),
 	}
-	out = append(out, s)
-	s, err = deltaMultihopScenario("multihop/mobile-n10000-delta", colossal, cfg10000)
-	if err != nil {
-		return nil, nil, err
-	}
-	out = append(out, s)
-	// Two churn regimes for the micro-benchmark: continuous random
-	// waypoint (every node moves every step — the patch path's worst
-	// case, where per-node re-queries cost more than one bulk symmetric
-	// rebuild) and the classic paused RWP (long pause phases, so only a
-	// fraction of nodes move per step and the patch cost tracks the
-	// change, not the population).
-	s, err = deltaStepScenario("topology/delta-vs-rebuild-n1000", huge, 0.25, 0)
-	if err != nil {
-		return nil, nil, err
-	}
-	out = append(out, s)
-	paused := topology.Config{N: 1000, Width: 3162, Height: 3162, Range: 250, MinSpeed: 5, MaxSpeed: 20, Pause: 600, Seed: 19}
-	s, err = deltaStepScenario("topology/delta-vs-rebuild-n1000-paused", paused, 0.25, 4000)
-	if err != nil {
-		return nil, nil, err
-	}
-	out = append(out, s)
-
-	// The adjacency build in isolation: how much of the n² the grid
-	// actually removes at these populations.
-	s, err = adjacencyScenario("topology/adjacency-n500", big)
-	if err != nil {
-		return nil, nil, err
-	}
-	out = append(out, s)
-	s, err = adjacencyScenario("topology/adjacency-n1000", huge)
-	if err != nil {
-		return nil, nil, err
-	}
-	out = append(out, s)
-	s, err = adjacencyScenario("topology/adjacency-n10000", colossal)
-	if err != nil {
-		return nil, nil, err
-	}
-	out = append(out, s)
-	return out, detDist, nil
 }
 
 // measure runs fn under testing.Benchmark and folds in the scenario's
@@ -656,6 +426,58 @@ func measure(name, engine string, events int64, fn func() error) (EngineResult, 
 		res.EventsPerSec = float64(events) / (ns / 1e9)
 	}
 	return res, nil
+}
+
+// measureSuite builds and measures every scenario whose name contains
+// only, appending the results to file; scenarios that do not match are
+// never built. It reports whether ctx was cancelled before every match
+// was measured.
+func measureSuite(ctx context.Context, suite []namedScenario, only string, file *File) (interrupted bool, err error) {
+	for _, ns := range suite {
+		if only != "" && !strings.Contains(ns.name, only) {
+			continue
+		}
+		// Scenarios are independent measurements, so an interrupt between
+		// them still leaves a coherent (if shorter) file.
+		if ctx.Err() != nil {
+			return true, nil
+		}
+		sc, err := ns.build()
+		if err != nil {
+			return false, fmt.Errorf("%s: %w", ns.name, err)
+		}
+		fastLabel, refLabel := sc.fastLabel, sc.refLabel
+		if fastLabel == "" {
+			fastLabel = "fast"
+		}
+		if refLabel == "" {
+			refLabel = "reference"
+		}
+		fast, err := measure(sc.name, fastLabel, sc.events, sc.runFast)
+		if err != nil {
+			return false, err
+		}
+		ref, err := measure(sc.name, refLabel, sc.events, sc.runRef)
+		if err != nil {
+			return false, err
+		}
+		file.Benchmarks = append(file.Benchmarks, fast, ref)
+		if fast.NsPerOp > 0 {
+			file.Speedups[sc.name] = ref.NsPerOp / fast.NsPerOp
+		}
+		fmt.Printf("%-30s %s %12.0f ns/op %6d allocs/op %10d B/op %12.0f events/s | %s %12.0f ns/op | speedup %.2fx\n",
+			sc.name, fastLabel, fast.NsPerOp, fast.AllocsPerOp, fast.BytesPerOp, fast.EventsPerSec, refLabel, ref.NsPerOp, file.Speedups[sc.name])
+		if sc.dist != nil {
+			st, err := sc.dist()
+			if err != nil {
+				return false, err
+			}
+			file.Detection = st
+			fmt.Printf("%-30s latency over %d runs: flagged %d, mean %.0f slots, p50 %.0f, p90 %.0f, p99 %.0f, %.1f flags/run\n",
+				sc.name, st.Runs, st.Flagged, st.LatencyMeanSlots, st.LatencyP50Slots, st.LatencyP90Slots, st.LatencyP99Slots, st.FlagsPerRun)
+		}
+	}
+	return false, nil
 }
 
 func run(ctx context.Context, args []string) error {
@@ -707,10 +529,6 @@ func run(ctx context.Context, args []string) error {
 		return runReplicate(ctx, target, *quick)
 	}
 
-	suite, detDist, err := scenarios(*quick)
-	if err != nil {
-		return err
-	}
 	profile := "paper"
 	if *quick {
 		profile = "quick"
@@ -725,47 +543,9 @@ func run(ctx context.Context, args []string) error {
 			"Regenerate with `make bench-json`.",
 		Speedups: map[string]float64{},
 	}
-	interrupted := false
-	for _, sc := range suite {
-		if *only != "" && !strings.Contains(sc.name, *only) {
-			continue
-		}
-		// Scenarios are independent measurements, so an interrupt between
-		// them still leaves a coherent (if shorter) file.
-		if ctx.Err() != nil {
-			interrupted = true
-			break
-		}
-		fastLabel, refLabel := sc.fastLabel, sc.refLabel
-		if fastLabel == "" {
-			fastLabel = "fast"
-		}
-		if refLabel == "" {
-			refLabel = "reference"
-		}
-		fast, err := measure(sc.name, fastLabel, sc.events, sc.runFast)
-		if err != nil {
-			return err
-		}
-		ref, err := measure(sc.name, refLabel, sc.events, sc.runRef)
-		if err != nil {
-			return err
-		}
-		file.Benchmarks = append(file.Benchmarks, fast, ref)
-		if fast.NsPerOp > 0 {
-			file.Speedups[sc.name] = ref.NsPerOp / fast.NsPerOp
-		}
-		fmt.Printf("%-30s %s %12.0f ns/op %6d allocs/op %10d B/op %12.0f events/s | %s %12.0f ns/op | speedup %.2fx\n",
-			sc.name, fastLabel, fast.NsPerOp, fast.AllocsPerOp, fast.BytesPerOp, fast.EventsPerSec, refLabel, ref.NsPerOp, file.Speedups[sc.name])
-		if sc.name == detectionName && detDist != nil {
-			st, err := detDist()
-			if err != nil {
-				return err
-			}
-			file.Detection = st
-			fmt.Printf("%-30s latency over %d runs: flagged %d, mean %.0f slots, p50 %.0f, p90 %.0f, p99 %.0f, %.1f flags/run\n",
-				sc.name, st.Runs, st.Flagged, st.LatencyMeanSlots, st.LatencyP50Slots, st.LatencyP90Slots, st.LatencyP99Slots, st.FlagsPerRun)
-		}
+	interrupted, err := measureSuite(ctx, scenarios(*quick), *only, &file)
+	if err != nil {
+		return err
 	}
 	if len(file.Benchmarks) == 0 {
 		if interrupted {

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 )
 
@@ -29,25 +30,20 @@ func TestBenchWritesJSON(t *testing.T) {
 	}
 	// Scenario → engine labels. Most pairs are fast/reference; the
 	// detection scenario relabels to observed/plain (same engine,
-	// observer on vs off) and the adjacency-delta scenarios to
-	// delta/rebuild (patched view vs bulk snapshot).
+	// observer on vs off).
 	wantScenarios := map[string][2]string{
-		"macsim/basic-n20-w336":                  {"fast", "reference"},
-		"macsim/basic-n50-w879":                  {"fast", "reference"},
-		detectionName:                            {"observed", "plain"},
-		"multihop/sparse-n50-w116":               {"fast", "reference"},
-		"multihop/mobile-n100-w26":               {"fast", "reference"},
-		"multihop/mobile-n500-w26":               {"fast", "reference"},
-		"multihop/mobile-n1000-w26":              {"fast", "reference"},
-		"multihop/mobile-n5000-w26":              {"fast", "reference"},
-		"multihop/mobile-n10000-w26":             {"fast", "reference"},
-		"multihop/static-n1000":                  {"delta", "rebuild"},
-		"multihop/mobile-n10000-delta":           {"delta", "rebuild"},
-		"topology/delta-vs-rebuild-n1000":        {"delta", "rebuild"},
-		"topology/delta-vs-rebuild-n1000-paused": {"delta", "rebuild"},
-		"topology/adjacency-n500":                {"fast", "reference"},
-		"topology/adjacency-n1000":               {"fast", "reference"},
-		"topology/adjacency-n10000":              {"fast", "reference"},
+		"macsim/basic-n20-w336":      {"fast", "reference"},
+		"macsim/basic-n50-w879":      {"fast", "reference"},
+		detectionName:                {"observed", "plain"},
+		"multihop/sparse-n50-w116":   {"fast", "reference"},
+		"multihop/mobile-n100-w26":   {"fast", "reference"},
+		"multihop/mobile-n500-w26":   {"fast", "reference"},
+		"multihop/mobile-n1000-w26":  {"fast", "reference"},
+		"multihop/mobile-n5000-w26":  {"fast", "reference"},
+		"multihop/mobile-n10000-w26": {"fast", "reference"},
+		"topology/adjacency-n500":    {"fast", "reference"},
+		"topology/adjacency-n1000":   {"fast", "reference"},
+		"topology/adjacency-n10000":  {"fast", "reference"},
 	}
 	if len(f.Benchmarks) != 2*len(wantScenarios) {
 		t.Fatalf("got %d benchmark entries, want %d", len(f.Benchmarks), 2*len(wantScenarios))
@@ -105,5 +101,26 @@ func TestBenchOnlyFilter(t *testing.T) {
 	}
 	if err := run(context.Background(), []string{"-quick", "-only", "nosuch", "-out", out}); err == nil {
 		t.Fatal("unknown -only filter did not error")
+	}
+
+	// Scenario construction is lazy: -only must not build (or probe)
+	// the scenarios it filters out, such as the n=10000 brute-force
+	// adjacency.
+	suite := scenarios(true)
+	built := map[string]int{}
+	for i := range suite {
+		name, build := suite[i].name, suite[i].build
+		suite[i].build = func() (scenario, error) {
+			built[name]++
+			return build()
+		}
+	}
+	var lazy File
+	lazy.Speedups = map[string]float64{}
+	if _, err := measureSuite(context.Background(), suite, "macsim/basic-n20", &lazy); err != nil {
+		t.Fatal(err)
+	}
+	if want := map[string]int{"macsim/basic-n20-w336": 1}; !reflect.DeepEqual(built, want) {
+		t.Fatalf("-only macsim/basic-n20 built %v, want %v", built, want)
 	}
 }

@@ -87,98 +87,34 @@ func (st *churnState) step() {
 
 // maskedTopology presents a base topology with departed nodes removed:
 // they keep their index (profiles stay length-n) but have no links, so
-// the spatial simulator leaves them idle.
-//
-// AdjacencyLists filters node by node against the base — via the base's
-// NeighborAppender fast path when available (the grid-backed network),
-// so the full base adjacency is never materialised — into buffers the
-// view owns and reuses across calls. One maskedTopology therefore serves
-// every churn stage of an engine run with no per-stage adjacency
-// allocations in steady state. The returned structure is valid until the
-// next AdjacencyLists call; a maskedTopology is not safe for concurrent
+// the spatial simulator leaves them idle. AdjacencyInto refills the base
+// adjacency into a buffer the view owns and filters it into dst, so one
+// maskedTopology serves every churn stage of an engine run without
+// per-stage allocations in steady state. It is not safe for concurrent
 // use.
-//
-// When the base reports position staleness (PositionVersioner, which the
-// grid-backed network implements), AdjacencyLists also skips the refill
-// outright if neither the activity mask nor the base's positions changed
-// since the last call — so an unchanged-membership stage, or the
-// engine-then-simulator double consult within one stage, costs O(n) mask
-// comparison instead of an O(E) refill.
 type maskedTopology struct {
 	base   Topology
 	active []bool
-	adj    [][]int // returned view: nil entries for departed/link-less nodes
-	bufs   [][]int // per-node append buffers; capacity persists across refills
-
-	filled   bool   // adj/bufs hold a refill for (lastMask, lastVer)
-	lastVer  uint64 // base position version at the last refill
-	lastMask []bool // activity mask captured at the last refill
+	full   [][]int // base adjacency, refilled on every call
 }
 
 func (m *maskedTopology) N() int { return m.base.N() }
 
-func (m *maskedTopology) AdjacencyLists() [][]int {
-	n := m.base.N()
-	if len(m.adj) != n {
-		m.adj = make([][]int, n)
-		m.bufs = make([][]int, n)
-	}
-	ver, hasVer := m.base.(PositionVersioner)
-	if m.filled && hasVer && ver.PositionVersion() == m.lastVer && masksEqual(m.lastMask, m.active) {
-		return m.adj
-	}
-	app, canAppend := m.base.(NeighborAppender)
-	var full [][]int
-	if !canAppend {
-		full = m.base.AdjacencyLists()
-	}
-	for i := 0; i < n; i++ {
-		if !m.active[i] {
-			m.adj[i] = nil // departed: no links
-			continue
-		}
-		buf := m.bufs[i][:0]
-		if canAppend {
-			buf = app.AppendNeighbors(i, buf)
-			kept := buf[:0]
-			for _, j := range buf {
+func (m *maskedTopology) AdjacencyInto(dst [][]int) [][]int {
+	m.full = m.base.AdjacencyInto(m.full)
+	dst = growSlice(dst, len(m.full))
+	for i, row := range m.full {
+		kept := dst[i][:0]
+		if m.active[i] {
+			for _, j := range row {
 				if m.active[j] {
 					kept = append(kept, j)
 				}
 			}
-			buf = kept
-		} else {
-			for _, j := range full[i] {
-				if m.active[j] {
-					buf = append(buf, j)
-				}
-			}
 		}
-		m.bufs[i] = buf
-		if len(buf) == 0 {
-			m.adj[i] = nil
-		} else {
-			m.adj[i] = buf
-		}
+		dst[i] = kept
 	}
-	if hasVer {
-		m.filled = true
-		m.lastVer = ver.PositionVersion()
-		m.lastMask = append(m.lastMask[:0], m.active...)
-	}
-	return m.adj
-}
-
-func masksEqual(a, b []bool) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
+	return dst
 }
 
 func (m *maskedTopology) IsLink(i, j int) bool {

@@ -47,7 +47,7 @@ func TestMaskedTopologyCutsDepartedNodes(t *testing.T) {
 	if m.N() != 5 {
 		t.Fatalf("N = %d, want 5 (indices are stable under churn)", m.N())
 	}
-	adj := m.AdjacencyLists()
+	adj := m.AdjacencyInto(nil)
 	if len(adj[2]) != 0 {
 		t.Fatalf("departed node 2 still has links: %v", adj[2])
 	}

@@ -6,7 +6,6 @@ import (
 
 	"selfishmac/internal/core"
 	"selfishmac/internal/rng"
-	"selfishmac/internal/topology"
 )
 
 // Engine plays the multi-hop repeated game G' dynamically: each stage
@@ -121,21 +120,13 @@ func (e *Engine) Run(maxStages int) (*Trace, error) {
 	// number of stage views instead of all of them.
 	hist := newObsHistory(n, e.strategies)
 
-	// Per-stage scratch, allocated once: the masked churn view filters
-	// into its own reusable buffers (skipping the refill entirely when
-	// neither mask nor positions changed), grid-backed topologies hold an
-	// incrementally-patched adjacency view — on a static network every
-	// stage after the first consults it for free — and other topologies
-	// refill adjBuf instead of handing back fresh O(n) slices per stage.
+	// The masked churn view and the stage adjacency buffer are allocated
+	// once and refilled every stage.
 	var masked *maskedTopology
 	if churn != nil {
 		masked = &maskedTopology{base: e.nw}
 	}
-	var view *topology.Adjacency
-	if tn, ok := e.nw.(*topology.Network); ok && churn == nil {
-		view = tn.AdjacencyView()
-	}
-	var adjBuf [][]int
+	var adj [][]int
 
 	uniformRun, lastUniform := 0, 0
 	for k := 0; k < maxStages; k++ {
@@ -148,18 +139,7 @@ func (e *Engine) Run(maxStages int) (*Trace, error) {
 			masked.active = active
 			nw = masked
 		}
-		var adj [][]int
-		switch {
-		case view != nil:
-			adj = view.Rows()
-		default:
-			if r, ok := nw.(AdjacencyReuser); ok {
-				adjBuf = r.AdjacencyInto(adjBuf)
-				adj = adjBuf
-			} else {
-				adj = nw.AdjacencyLists()
-			}
-		}
+		adj = nw.AdjacencyInto(adj)
 
 		profile := make([]int, n)
 		for i, s := range e.strategies {

@@ -11,8 +11,19 @@ type fixedGraph struct {
 	adj [][]int
 }
 
-func (g *fixedGraph) N() int                  { return len(g.adj) }
-func (g *fixedGraph) AdjacencyLists() [][]int { return g.adj }
+func (g *fixedGraph) N() int { return len(g.adj) }
+
+// AdjacencyInto copies the rows into dst: engines own the buffer they
+// pass in, so handing out g.adj's rows would let a later refill write
+// into the fixture.
+func (g *fixedGraph) AdjacencyInto(dst [][]int) [][]int {
+	dst = growSlice(dst, len(g.adj))
+	for i, row := range g.adj {
+		dst[i] = append(dst[i][:0], row...)
+	}
+	return dst
+}
+
 func (g *fixedGraph) IsLink(i, j int) bool {
 	for _, k := range g.adj[i] {
 		if k == j {

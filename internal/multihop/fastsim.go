@@ -15,14 +15,11 @@ import (
 // jumps the clock directly to the minimum fire slot — the next event
 // horizon over counter expiries, busyUntil/txUntil freezes and pending
 // mobility steps. Idle slots are never visited. The minimum is found
-// through the fire-slot calendar (firering.go): a bucket ring over the
-// bounded fire-slot horizon for every realistic configuration, the
-// lazy-shift min-heap (fireheap.go) beyond it. Either way freeze shifts
-// update fire[] only, stale calendar entries are repaired when visited,
-// and expired sets come back in ascending node order — so event
-// selection costs O(1) amortized per calendar touch instead of the
-// former O(n) scan (and the heap's O(log n) sifts), which dominated the
-// per-op profile at n >= 1000.
+// through the fire-slot calendar (firering.go), a bucket ring: freeze
+// shifts update fire[] only, stale calendar entries are repaired when
+// visited, and expired sets come back in ascending node order — so
+// event selection costs O(1) amortized per calendar touch instead of the
+// former O(n) scan, which dominated the per-op profile at n >= 1000.
 //
 // Freeze/resume accounting is carried in the fire slots themselves. With
 // "blocked" meaning max(busyUntil, txUntil) > t:
@@ -42,17 +39,14 @@ import (
 //
 // Those rules bound every fire slot by t + maxDur + maxCW - 1, which is
 // what lets the ring calendar cover the horizon with a fixed number of
-// buckets (see firering.go).
+// buckets (see firering.go for the far-future clamp past its cap).
 //
 // Mobility steps are applied in catch-up fashion before processing any
 // event at or past their due slot, preserving both the step count and
 // their order relative to MAC events — the network's own PRNG trajectory
-// and final state are identical to the reference. Grid-backed networks
-// (*topology.Network) advance through an incremental adjacency view:
-// the step patches only the neighbor rows incident to nodes that moved,
-// and a static network (MaxSpeed 0) skips adjacency work entirely after
-// the initial snapshot. Other topologies — churn-masked views, test
-// fakes — re-snapshot as before.
+// and final state are identical to the reference. Each step is a
+// Network.Step followed by a refill of the state-owned adjacency buffer,
+// exactly as the reference loop maintains its own.
 //
 // Determinism contract: PRNG draws happen in exactly the reference order
 // — per event slot, expired nodes act in ascending node order (isolated
@@ -64,28 +58,24 @@ import (
 // states re-init without allocating), reset restores the initial
 // trajectory state for a new seed, and run executes one simulation into
 // the state-owned result. Simulate draws states from a package pool —
-// steady-state one-shot calls reuse buffers and adjacency views from
-// earlier calls; the exported Simulator (simulator.go) exposes the
-// explicit lifecycle for replication loops.
+// steady-state one-shot calls reuse buffers from earlier calls; the
+// exported Simulator (simulator.go) exposes the explicit lifecycle for
+// replication loops.
 type simState struct {
 	nw     Topology
-	mobile MobileTopology
+	mobile *topology.Network // non-nil when mobility is configured
 	cfg    SimConfig
 	n      int
 
-	// adj is the active adjacency: the view's patched rows when the
-	// topology is a grid-backed *topology.Network, the state-owned
-	// snapshot buffers (adjOwn) otherwise. The rows are never written by
-	// the engine.
-	adj    [][]int
-	view   *topology.Adjacency
-	adjOwn [][]int
+	// adj is the state-owned adjacency snapshot, refilled in place on
+	// init and after every mobility step; the loop only reads it.
+	adj [][]int
 
 	src          rng.Source
 	nodes        []spatialNode
-	fire         []int64      // absolute slot at which the node next acts
-	cal          fireCalendar // fire-slot calendar; entries may lag fire[]
-	expired      []int        // scratch: this event's expired nodes, ascending
+	fire         []int64  // absolute slot at which the node next acts
+	cal          fireRing // fire-slot calendar; entries may lag fire[]
+	expired      []int    // scratch: this event's expired nodes, ascending
 	transmitters []int
 	receivers    []int
 	inTx         []bool
@@ -103,7 +93,7 @@ type simState struct {
 // retained, so callers that reuse the state must pass an owned slice.
 // Capacity from a previous binding is reused, so re-initialising a
 // pooled state at the same population allocates nothing.
-func (st *simState) init(nw Topology, mobile MobileTopology, cfg SimConfig) {
+func (st *simState) init(nw Topology, mobile *topology.Network, cfg SimConfig) {
 	n := nw.N()
 	st.nw, st.mobile, st.cfg, st.n = nw, mobile, cfg, n
 	st.nodes = growSlice(st.nodes, n)
@@ -114,22 +104,7 @@ func (st *simState) init(nw Topology, mobile MobileTopology, cfg SimConfig) {
 	st.inTx = growSlice(st.inTx, n)
 	st.drawn = growSlice(st.drawn, n)
 	st.res.Nodes = growSlice(st.res.Nodes, n)
-
-	if tn, ok := nw.(*topology.Network); ok {
-		// Incremental path: bind (or re-bind) the adjacency view. A pooled
-		// state meeting the same network again keeps the synchronised view
-		// and pays nothing here; a static network shared across many runs
-		// is snapshotted exactly once.
-		if st.view == nil {
-			st.view = tn.AdjacencyView()
-		} else {
-			st.view.Rebind(tn)
-		}
-		st.adj = st.view.Rows()
-	} else {
-		st.view = nil
-		st.snapshotAdj(nw)
-	}
+	st.adj = nw.AdjacencyInto(st.adj)
 
 	st.tsSlots = int64(cfg.Timing.SlotsCeil(cfg.Timing.Ts))
 	st.tcSlots = int64(cfg.Timing.SlotsCeil(cfg.Timing.Tc))
@@ -154,19 +129,6 @@ func growSlice[T any](s []T, n int) []T {
 		return s[:n]
 	}
 	return make([]T, n)
-}
-
-// snapshotAdj refreshes the state-owned adjacency buffers from a
-// non-view topology. Topologies implementing AdjacencyReuser (the churn
-// mask does not, but custom ones may) refill the buffers in place;
-// others fall back to a fresh AdjacencyLists.
-func (st *simState) snapshotAdj(nw Topology) {
-	if r, ok := nw.(AdjacencyReuser); ok {
-		st.adjOwn = r.AdjacencyInto(st.adjOwn)
-		st.adj = st.adjOwn
-		return
-	}
-	st.adj = nw.AdjacencyLists()
 }
 
 // calSpan returns the fire-slot horizon for the current config: no fire
@@ -201,7 +163,7 @@ func (st *simState) reset(seed uint64) {
 		st.fire[i] = int64(st.nodes[i].counter)
 		st.inTx[i] = false
 	}
-	st.cal.configure(st.n, st.calSpan())
+	st.cal.init(st.n, st.calSpan())
 	st.cal.rebuild(st.fire)
 	for i := range st.res.Nodes {
 		st.res.Nodes[i] = NodeStats{}
@@ -214,21 +176,12 @@ func (st *simState) reset(seed uint64) {
 }
 
 // stepMobility advances the mobility model by one MobilityEvery interval
-// and refreshes the active adjacency: an incremental patch through the
-// view when bound, a re-snapshot otherwise.
+// and refills the adjacency snapshot.
 func (st *simState) stepMobility() error {
-	dt := st.cfg.MobilityEvery / 1e6
-	if st.view != nil {
-		if _, err := st.view.StepDelta(dt); err != nil {
-			return err
-		}
-		st.adj = st.view.Rows()
-		return nil
-	}
-	if err := st.mobile.Step(dt); err != nil {
+	if err := st.mobile.Step(st.cfg.MobilityEvery / 1e6); err != nil {
 		return err
 	}
-	st.snapshotAdj(st.mobile)
+	st.adj = st.mobile.AdjacencyInto(st.adj)
 	return nil
 }
 
@@ -284,7 +237,7 @@ func (st *simState) run() (*SimResult, error) {
 				// would not have fired).
 				nodes[i].draw(&st.src, cfg.MaxStage)
 				fire[i] = t + 1 + int64(nodes[i].counter)
-				st.cal.push(fire[i], i)
+				st.cal.file(fire[i], int32(i))
 				continue
 			}
 			transmitters = append(transmitters, i)
@@ -374,11 +327,10 @@ func (st *simState) run() (*SimResult, error) {
 				b = nodes[i].txUntil
 			}
 			fire[i] = b + int64(drawn[i])
-			st.cal.push(fire[i], i)
+			st.cal.file(fire[i], int32(i))
 			inTx[i] = false
 		}
 	}
-	st.adj = adj
 	st.nextMobility = nextMobility
 
 	res.Slots = totalSlots
@@ -394,19 +346,16 @@ func (st *simState) run() (*SimResult, error) {
 }
 
 // statePool recycles simStates across one-shot Simulate calls. Pooled
-// states keep their buffers and their adjacency view: repeated runs at
-// the same population re-init without allocating, and repeated runs over
-// the *same* static network skip the adjacency snapshot entirely. A
-// state's references (topology, CW, observer) are dropped before
-// pooling except the view's network binding, which is exactly the cache
-// the amortisation relies on; sync.Pool releases idle states under GC
-// pressure, so the binding never outlives memory demand.
+// states keep their buffers, adjacency snapshot included: repeated runs
+// at the same population re-init without allocating. A state's
+// references (topology, CW, observer) are dropped before pooling;
+// sync.Pool releases idle states under GC pressure.
 var statePool = sync.Pool{New: func() any { return &simState{} }}
 
 // release clears the state's borrowed references and returns it to the
 // pool.
 func (st *simState) release() {
-	st.nw, st.mobile, st.adj = nil, nil, nil
+	st.nw, st.mobile = nil, nil
 	st.cfg.CW, st.cfg.Observer = nil, nil
 	statePool.Put(st)
 }
@@ -414,7 +363,7 @@ func (st *simState) release() {
 // simulateFast is the one-shot entry behind Simulate: a pooled state per
 // call, supporting mobility. The result is copied out of the state so
 // the caller owns it outright.
-func simulateFast(nw Topology, mobile MobileTopology, cfg SimConfig) (*SimResult, error) {
+func simulateFast(nw Topology, mobile *topology.Network, cfg SimConfig) (*SimResult, error) {
 	st := statePool.Get().(*simState)
 	st.init(nw, mobile, cfg)
 	res, err := st.run()

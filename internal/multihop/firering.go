@@ -2,47 +2,47 @@ package multihop
 
 import "math/bits"
 
-// firering.go is the bucket-ring implementation of the fire-slot
-// calendar, plus the fireCalendar front that picks between it and the
-// binary-heap fallback (fireheap.go).
+// firering.go is the fire-slot calendar: a bucket ring of intrusive
+// linked lists.
 //
 // The engine's fire slots live inside a bounded horizon: a node's next
 // fire slot never lies more than maxDur + maxCW - 1 slots past the
 // current event slot, where maxDur = max(Ts, Tc) in slots and maxCW is
 // the largest post-doubling window any node can draw (cw << MaxStage).
-// That bound makes a calendar-queue ring exact: a ring of W >= maxDur +
-// maxCW power-of-two buckets, bucket b holding the nodes filed for slots
-// ≡ b (mod W) as an intrusive singly-linked list (head per bucket, one
-// next pointer per node — every node has exactly one live entry, so no
-// allocation ever). Filing is O(1); advancing the clock scans buckets
-// forward from the current slot, and because every filed slot is less
-// than W ahead, the first visit to a bucket happens exactly at the
-// entry's filed slot — never early.
+// The ring has W power-of-two buckets, W >= that span up to the
+// maxRingSpan cap; bucket b holds the nodes filed for slots ≡ b (mod W)
+// as an intrusive singly-linked list (head per bucket, one next pointer
+// per node — every node has exactly one live entry, so no allocation
+// ever). Filing is O(1); advancing the clock scans buckets forward from
+// the current slot. A slot a full ring or more ahead (only possible past
+// the cap) is filed clamped to cur + W - 1, so every entry is less than
+// W ahead and the first visit to its bucket happens exactly at its filed
+// slot — never early.
 //
-// The lazy freeze-shift algebra carries over from the heap unchanged:
-// carrier holds move fire[] forward without touching the calendar, and a
-// visited entry whose filed slot no longer equals fire[node] is re-filed
-// at the node's true slot — an O(1) list prepend here, against the
-// heap's O(log n) pop+push. Stale repairs dominate calendar traffic at
-// large n (every transmission shifts every neighbor), which is why the
-// ring wins: per-op cost at n=10000 is bounded by total slots plus
-// repairs, each a pointer hop, instead of ~2 sift passes per repair.
+// Carrier holds move fire[] forward without touching the calendar. A
+// visited entry whose filed slot no longer equals fire[node] — stale
+// from a freeze shift, or clamped — is re-filed at the node's true slot
+// (clamped again if still a ring or more ahead), an O(1) list prepend.
+// Because filed slots never exceed true slots, every entry reaches its
+// true slot's bucket before the scan does, which makes the calendar
+// exact and the expiry order ascending in slot. Stale repairs dominate
+// calendar traffic at large n (every transmission shifts every
+// neighbor), so per-op cost at n=10000 is bounded by total slots plus
+// repairs, each a pointer hop.
 //
 // Determinism: a bucket's list order is filing order, not node order, so
 // the collected expired set is insertion-sorted ascending before it is
-// returned — the same (slot, node) lexicographic order the packed heap
-// keys produced, which the reference loop's ascending node scan requires.
+// returned — the order the reference loop's ascending node scan acts in.
 type fireRing struct {
 	head []int32 // bucket -> first node filed there, -1 when empty
 	next []int32 // node -> next node in its bucket, -1 at list end
-	mask int64
-	cur  int64 // next slot to scan; all live entries are at slots >= cur
+	mask int64   // W - 1
+	cur  int64   // next slot to scan; all live entries are at slots >= cur
 }
 
 // maxRingSpan caps the ring's bucket count (1<<17 buckets = 512 KiB of
 // heads). Configurations whose fire-slot horizon exceeds it — extreme
-// CW << MaxStage products — fall back to the heap, which has no horizon
-// bound.
+// CW << MaxStage products — file far-future slots clamped.
 const maxRingSpan = 1 << 17
 
 func nextPow2(v int64) int64 {
@@ -55,17 +55,9 @@ func nextPow2(v int64) int64 {
 // init sizes the ring for n nodes and a fire-slot horizon of span slots,
 // reusing the backing arrays when they are already large enough.
 func (r *fireRing) init(n int, span int64) {
-	w := nextPow2(span)
-	if int64(cap(r.head)) >= w {
-		r.head = r.head[:w]
-	} else {
-		r.head = make([]int32, w)
-	}
-	if cap(r.next) >= n {
-		r.next = r.next[:n]
-	} else {
-		r.next = make([]int32, n)
-	}
+	w := nextPow2(min(span, maxRingSpan))
+	r.head = growSlice(r.head, int(w))
+	r.next = growSlice(r.next, n)
 	r.mask = w - 1
 }
 
@@ -81,10 +73,12 @@ func (r *fireRing) rebuild(fire []int64) {
 	}
 }
 
-// file prepends node i to the bucket for slot. The slot must be less
-// than one full ring ahead of the current scan position — the engine's
-// horizon bound guarantees it.
+// file prepends node i to the bucket for slot, clamped to cur + W - 1
+// when it lies a full ring or more ahead. slot must not be behind cur.
 func (r *fireRing) file(slot int64, i int32) {
+	if slot-r.cur > r.mask {
+		slot = r.cur + r.mask
+	}
 	b := slot & r.mask
 	r.next[i] = r.head[b]
 	r.head[b] = i
@@ -93,9 +87,10 @@ func (r *fireRing) file(slot int64, i int32) {
 // nextEvent advances the clock to the next slot (before limit) at which
 // at least one node's true fire slot expires, appends those nodes to
 // expired in ascending node order, and returns the slot and the extended
-// slice. Entries visited with a stale filed slot are re-filed at their
-// true fire slot. When no event lies before limit it returns (limit,
-// expired) unchanged; entries at or past limit stay filed.
+// slice. Entries visited with a stale or clamped filed slot are re-filed
+// at their true fire slot, clamped to t + W - 1. When no event lies
+// before limit it returns (limit, expired) unchanged; entries at or past
+// limit stay filed.
 func (r *fireRing) nextEvent(fire []int64, limit int64, expired []int) (int64, []int) {
 	head, next, mask := r.head, r.next, r.mask
 	t := r.cur
@@ -109,10 +104,14 @@ func (r *fireRing) nextEvent(fire []int64, limit int64, expired []int) (int64, [
 				if fire[j] == t {
 					expired = append(expired, int(j))
 				} else {
-					// Stale: the node was freeze-shifted after filing.
-					// Shifts only move fire slots forward, so the true
-					// slot is still ahead; re-file there.
-					fb := fire[j] & mask
+					// Stale or clamped: the true slot is still ahead
+					// (shifts only move fire slots forward); re-file
+					// there, or as far as the ring reaches.
+					f := fire[j]
+					if f-t > mask {
+						f = t + mask
+					}
+					fb := f & mask
 					next[j] = head[fb]
 					head[fb] = j
 				}
@@ -143,77 +142,4 @@ func sortExpired(b []int) {
 		}
 		b[j+1] = v
 	}
-}
-
-// fireCalendar is the engine-facing calendar: a bucket ring when the
-// configuration's fire-slot horizon fits maxRingSpan (every realistic
-// config), the lazy-shift binary heap otherwise. Both are exact; the
-// differential matrix pins the engine bit-identical to the reference
-// loop whichever is selected.
-type fireCalendar struct {
-	useRing bool
-	ring    fireRing
-	heap    fireHeap
-}
-
-// configure sizes the calendar for n nodes whose fire slots stay within
-// span slots of the current event slot.
-func (c *fireCalendar) configure(n int, span int64) {
-	c.useRing = span > 0 && span <= maxRingSpan
-	if c.useRing {
-		c.ring.init(n, span)
-	} else {
-		c.heap.init(n)
-	}
-}
-
-// rebuild refills the calendar with one entry per node at fire[i].
-func (c *fireCalendar) rebuild(fire []int64) {
-	if c.useRing {
-		c.ring.rebuild(fire)
-	} else {
-		c.heap.rebuild(fire)
-	}
-}
-
-// push files node i at slot.
-func (c *fireCalendar) push(slot int64, i int) {
-	if c.useRing {
-		c.ring.file(slot, int32(i))
-	} else {
-		c.heap.push(slot, i)
-	}
-}
-
-// nextEvent finds the next slot with a true expiry, collecting the
-// expired nodes ascending (see fireRing.nextEvent for the contract). The
-// heap path repairs stale entries pop-by-pop exactly as the engine's old
-// inline loop did.
-func (c *fireCalendar) nextEvent(fire []int64, limit int64, expired []int) (int64, []int) {
-	if c.useRing {
-		return c.ring.nextEvent(fire, limit, expired)
-	}
-	var t int64
-	for {
-		s, i := c.heap.pop()
-		if s != fire[i] {
-			c.heap.push(fire[i], i)
-			continue
-		}
-		t = s
-		expired = append(expired, i)
-		break
-	}
-	if t >= limit {
-		return t, expired
-	}
-	for c.heap.len() > 0 && c.heap.minSlot() == t {
-		_, i := c.heap.pop()
-		if fire[i] != t {
-			c.heap.push(fire[i], i)
-			continue
-		}
-		expired = append(expired, i)
-	}
-	return t, expired
 }

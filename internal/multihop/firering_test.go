@@ -2,17 +2,14 @@ package multihop
 
 import (
 	"reflect"
+	"sort"
 	"testing"
-
-	"selfishmac/internal/rng"
 )
 
-// firering_test.go pins the bucket-ring calendar against the lazy-shift
-// heap it replaced: driven with the same fire-slot trajectory — pushes,
-// silent forward shifts (carrier freezes), expiry collection — both must
-// report identical (slot, expired-set) sequences, as long as the
-// trajectory respects the engine's horizon bound (no fire slot more than
-// span-1 slots past the current event slot).
+// firering_test.go pins the bucket-ring calendar's contract: expired
+// sets come back in ascending node order, and entries filed several ring
+// widths ahead — clamped on filing, re-filed on visit — still expire at
+// their exact slot, in ascending slot order.
 
 func TestNextPow2(t *testing.T) {
 	cases := map[int64]int64{1: 1, 2: 2, 3: 4, 4: 4, 5: 8, 1023: 1024, 1024: 1024, 1025: 2048}
@@ -23,84 +20,56 @@ func TestNextPow2(t *testing.T) {
 	}
 }
 
-func TestFireCalendarSelection(t *testing.T) {
-	var c fireCalendar
-	c.configure(10, 512)
-	if !c.useRing {
-		t.Fatal("span 512 should select the ring")
+// TestFireRingFarFutureExact files entries up to ten ring widths ahead
+// — the case a horizon past maxRingSpan produces — and silently shifts
+// some further out mid-run, as carrier freezes do. Every entry must
+// still expire exactly at its fire slot, slots ascending, each expired
+// set ascending in node order.
+func TestFireRingFarFutureExact(t *testing.T) {
+	const w = int64(maxRingSpan)
+	fire := []int64{5*w + 3, 2*w + 7, w, 3*w - 1, 7, 2*w + 7, 10 * w, w + 1, 0, 9*w + 5}
+	var ring fireRing
+	ring.init(len(fire), 8*w)
+	if ring.mask != w-1 {
+		t.Fatalf("ring width %d, want the %d cap", ring.mask+1, w)
 	}
-	c.configure(10, maxRingSpan+1)
-	if c.useRing {
-		t.Fatalf("span %d should fall back to the heap", maxRingSpan+1)
-	}
-	c.configure(10, 0)
-	if c.useRing {
-		t.Fatal("span 0 should fall back to the heap")
-	}
-}
+	ring.rebuild(fire)
+	limit := 11 * w
 
-// TestFireRingMatchesHeapTrajectory runs randomized engine-shaped
-// trajectories through a ring calendar and a heap calendar in lockstep.
-func TestFireRingMatchesHeapTrajectory(t *testing.T) {
-	const (
-		n     = 150
-		span  = int64(900)
-		limit = int64(250000)
-	)
-	for trial := uint64(0); trial < 8; trial++ {
-		src := rng.New(trial + 101)
-		fire := make([]int64, n)
-		for i := range fire {
-			fire[i] = int64(src.Intn(int(span)))
+	type event struct {
+		slot  int64
+		nodes []int
+	}
+	var got []event
+	for {
+		slot, expired := ring.nextEvent(fire, limit, nil)
+		if slot >= limit {
+			break
 		}
-		var ring, heap fireCalendar
-		ring.configure(n, span)
-		heap.configure(n, 0) // force the fallback
-		if !ring.useRing || heap.useRing {
-			t.Fatal("calendar selection did not split as intended")
+		got = append(got, event{slot, expired})
+		if len(got) == 2 {
+			// Freeze-shift two pending entries several rings further out
+			// without telling the calendar.
+			fire[1] += 4 * w // 2w+7 -> 6w+7, leaving node 5 alone at 2w+7
+			fire[3] += 6*w + 2
 		}
-		ring.rebuild(fire)
-		heap.rebuild(fire)
+	}
 
-		var ringExp, heapExp []int
-		for round := 0; ; round++ {
-			var tr, th int64
-			tr, ringExp = ring.nextEvent(fire, limit, ringExp[:0])
-			th, heapExp = heap.nextEvent(fire, limit, heapExp[:0])
-			if tr >= limit || th >= limit {
-				if tr < limit || th < limit {
-					t.Fatalf("trial %d round %d: one calendar ended (ring %d, heap %d)", trial, round, tr, th)
-				}
-				break
-			}
-			if tr != th {
-				t.Fatalf("trial %d round %d: ring slot %d != heap slot %d", trial, round, tr, th)
-			}
-			if !reflect.DeepEqual(ringExp, heapExp) {
-				t.Fatalf("trial %d round %d: expired sets diverged: ring %v heap %v", trial, round, ringExp, heapExp)
-			}
-			t0 := tr
-			// Freeze-shift a random subset of the still-filed nodes forward
-			// without telling the calendars, staying inside the horizon.
-			for k := 0; k < n/8; k++ {
-				j := src.Intn(n)
-				if fire[j] <= t0 {
-					continue // being re-keyed below, or already collected
-				}
-				shifted := fire[j] + int64(src.Intn(40))
-				if max := t0 + span - 1; shifted > max {
-					shifted = max
-				}
-				fire[j] = shifted
-			}
-			// Re-key the expired nodes, engine-style: resume at t+1 with a
-			// fresh counter inside the horizon.
-			for _, i := range ringExp {
-				fire[i] = t0 + 1 + int64(src.Intn(int(span)-1))
-				ring.push(fire[i], i)
-				heap.push(fire[i], i)
-			}
-		}
+	var want []event
+	bySlot := map[int64][]int{}
+	for i, f := range fire {
+		bySlot[f] = append(bySlot[f], i)
+	}
+	var slots []int64
+	for f := range bySlot {
+		slots = append(slots, f)
+	}
+	sort.Slice(slots, func(a, b int) bool { return slots[a] < slots[b] })
+	for _, f := range slots {
+		want = append(want, event{f, bySlot[f]})
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("expiry sequence\ngot  %v\nwant %v", got, want)
 	}
 }
 

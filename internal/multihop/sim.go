@@ -23,53 +23,22 @@ import (
 	"selfishmac/internal/backoff"
 	"selfishmac/internal/phy"
 	"selfishmac/internal/rng"
+	"selfishmac/internal/topology"
 )
 
 // Topology is the read view of a network the spatial simulator needs.
-// *topology.Network implements it; tests may substitute fixed graphs.
+// *topology.Network implements it, and is the only topology that
+// supports mobility; tests substitute fixed graphs, and churn runs a
+// masked view over a network.
 type Topology interface {
 	// N is the node count.
 	N() int
-	// AdjacencyLists returns every node's neighbor list.
-	AdjacencyLists() [][]int
 	// IsLink reports whether i and j are within range.
 	IsLink(i, j int) bool
-}
-
-// MobileTopology additionally supports advancing a mobility model.
-type MobileTopology interface {
-	Topology
-	// Step advances mobility by dt seconds.
-	Step(dt float64) error
-}
-
-// NeighborAppender is an optional fast path a Topology may implement:
-// AppendNeighbors appends node i's neighbors to buf — in the same
-// ascending index order AdjacencyLists uses — and returns the extended
-// slice. maskedTopology uses it to filter churn views node by node
-// without materialising the full base adjacency. *topology.Network
-// implements it over its grid index.
-type NeighborAppender interface {
-	AppendNeighbors(i int, buf []int) []int
-}
-
-// AdjacencyReuser is an optional refill fast path: AdjacencyInto fills
-// dst with the adjacency structure, reusing dst's per-node slices, and
-// returns it. The engines use it so mobility re-snapshots and repeated
-// stage snapshots refill one owned buffer instead of allocating O(n)
-// slices each time. Contents and ordering must be identical to
-// AdjacencyLists; *topology.Network implements it.
-type AdjacencyReuser interface {
+	// AdjacencyInto refills dst with every node's neighbor list, each in
+	// ascending index order, reusing dst's per-node slices, and returns
+	// it. The engines pass one owned buffer back in on every refill.
 	AdjacencyInto(dst [][]int) [][]int
-}
-
-// PositionVersioner is an optional staleness probe: PositionVersion
-// returns a counter that changes whenever node positions change. Views
-// layered over a topology (the churn mask, adjacency consumers) use it
-// to skip refilling their caches when nothing moved since the last
-// consult. *topology.Network implements it.
-type PositionVersioner interface {
-	PositionVersion() uint64
 }
 
 // Observer receives one event per slot in which at least one node starts
@@ -113,11 +82,11 @@ type SimConfig struct {
 	// Gain and Cost are g and e for the measured payoff.
 	Gain float64
 	Cost float64
-	// MobilityStep, when positive, advances the random-waypoint model by
-	// this many seconds of mobility every simulated second of MAC time
-	// ... (the paper's scenario is slow — max 5 m/s — so topology changes
-	// on a much slower timescale than backoff; the simulator re-snapshots
-	// the graph every MobilityEvery microseconds of MAC time).
+	// MobilityEvery, when positive, advances the random-waypoint model
+	// every MobilityEvery microseconds of MAC time by the same span of
+	// mobility time, then re-snapshots the graph (the paper's scenario is
+	// slow — max 5 m/s — so topology changes on a much slower timescale
+	// than backoff). The topology must then be a *topology.Network.
 	MobilityEvery float64
 	// Observer, when non-nil, is invoked once per slot in which at least
 	// one node starts transmitting, with the slot index and the
@@ -223,26 +192,36 @@ func (n *spatialNode) draw(r *rng.Source, maxStage int) {
 	n.counter = backoff.Draw(r, n.cw, n.stage, maxStage)
 }
 
+// checkRun validates cfg against the network and, when mobility is
+// configured, returns the network to step: mobility needs the concrete
+// *topology.Network, the only mobile topology.
+func checkRun(nw Topology, cfg SimConfig) (*topology.Network, error) {
+	if err := cfg.validate(nw.N()); err != nil {
+		return nil, fmt.Errorf("multihop: invalid sim config: %w", err)
+	}
+	if cfg.MobilityEvery <= 0 {
+		return nil, nil
+	}
+	mobile, ok := nw.(*topology.Network)
+	if !ok {
+		return nil, errors.New("multihop: MobilityEvery set but the topology is immobile")
+	}
+	return mobile, nil
+}
+
 // Simulate runs the spatial DCF over the network's *current* topology
 // snapshot (advancing mobility every MobilityEvery microseconds when
-// configured; the network is mutated in that case and must implement
-// MobileTopology).
+// configured; the network is mutated in that case and must be a
+// *topology.Network).
 //
 // It uses the event-skipping engine (fastsim.go), which jumps the slot
 // clock directly to the next fire slot instead of stepping idle slots.
 // Results, PRNG consumption and mobility stepping are bit-identical to
 // SimulateReference; the differential tests pin this.
 func Simulate(nw Topology, cfg SimConfig) (*SimResult, error) {
-	n := nw.N()
-	if err := cfg.validate(n); err != nil {
-		return nil, fmt.Errorf("multihop: invalid sim config: %w", err)
-	}
-	var mobile MobileTopology
-	if cfg.MobilityEvery > 0 {
-		var ok bool
-		if mobile, ok = nw.(MobileTopology); !ok {
-			return nil, errors.New("multihop: MobilityEvery set but the topology is immobile")
-		}
+	mobile, err := checkRun(nw, cfg)
+	if err != nil {
+		return nil, err
 	}
 	return simulateFast(nw, mobile, cfg)
 }
@@ -253,24 +232,18 @@ func Simulate(nw Topology, cfg SimConfig) (*SimResult, error) {
 // Simulate produces byte-identical results, and cmd/bench measures the
 // speedup against it.
 func SimulateReference(nw Topology, cfg SimConfig) (*SimResult, error) {
+	mobile, err := checkRun(nw, cfg)
+	if err != nil {
+		return nil, err
+	}
 	n := nw.N()
-	if err := cfg.validate(n); err != nil {
-		return nil, fmt.Errorf("multihop: invalid sim config: %w", err)
-	}
-	var mobile MobileTopology
-	if cfg.MobilityEvery > 0 {
-		var ok bool
-		if mobile, ok = nw.(MobileTopology); !ok {
-			return nil, errors.New("multihop: MobilityEvery set but the topology is immobile")
-		}
-	}
 	src := rng.New(cfg.Seed)
 	nodes := make([]spatialNode, n)
 	for i := range nodes {
 		nodes[i] = spatialNode{cw: cfg.CW[i]}
 		nodes[i].draw(src, cfg.MaxStage)
 	}
-	adj := nw.AdjacencyLists()
+	adj := nw.AdjacencyInto(nil)
 
 	res := &SimResult{Nodes: make([]NodeStats, n)}
 	tsSlots := int64(cfg.Timing.SlotsCeil(cfg.Timing.Ts))
@@ -301,7 +274,7 @@ func SimulateReference(nw Topology, cfg SimConfig) (*SimResult, error) {
 			if err := mobile.Step(cfg.MobilityEvery / 1e6); err != nil {
 				return nil, fmt.Errorf("multihop: mobility step: %w", err)
 			}
-			adj = mobile.AdjacencyLists()
+			adj = mobile.AdjacencyInto(adj)
 			nextMobility += mobilityEverySlots
 		}
 

@@ -53,9 +53,8 @@ func (s *Simulator) Reset(seed uint64) {
 // count: timing, duration, payoff parameters, CW profile and seed may
 // all change; the network stays the one it was constructed with. It is
 // the pooled-engine hot path — at a fixed shape it reuses every buffer
-// (including the adjacency view, so a pooled simulator rebound to the
-// same static network skips adjacency work outright) and allocates
-// nothing in steady state.
+// (the adjacency snapshot is refilled in place) and allocates nothing in
+// steady state.
 func (s *Simulator) Reconfigure(cfg SimConfig) error {
 	if cfg.MobilityEvery > 0 {
 		return errors.New("multihop: Simulator does not support mobility; use Simulate")

@@ -1,195 +1,51 @@
 package topology
 
-import "fmt"
-
-// adjacency.go is the incremental adjacency view: a reusable snapshot of
-// the network's neighbor lists that is *patched* when mobility moves
-// nodes instead of being rebuilt from scratch each time it is consulted.
+// adjacency.go is the cached adjacency view: a reusable snapshot of the
+// network's neighbor lists that is refilled in place (AdjacencyInto)
+// whenever the network's positions change, and left alone otherwise.
 //
-// The view's contract mirrors the grid's determinism contract: every row
-// is in exactly the ascending-index order BruteForceAdjacencyLists
-// produces, at all times. The patch algorithm preserves it by
-// construction — unmoved neighbors' rows are edited with the same
-// sorted-insert/sorted-delete primitives the cell buckets use, and a
-// moved node's own row is wholesale-replaced with a fresh sorted grid
-// query.
-//
-// Staleness is tracked through Network.PositionVersion: if the network
-// moved outside the view's control (a plain Step, SetPositions, or
-// another view stepping the same network), the next Rows or Step call
-// rebuilds the rows in place and resynchronises. On a static network the
-// version never changes, so every consult after the first is free — the
-// "adjacency amortised to stage 0" fast path.
+// Every row is in exactly the ascending-index order
+// BruteForceAdjacencyLists produces. Staleness is tracked through the
+// network's position version: if the network moved outside the view's
+// control (a plain Step, SetPositions, or another view stepping the same
+// network), the next Rows call refills. On a static network the version
+// never changes, so every consult after the first is free.
 type Adjacency struct {
-	nw    *Network
-	built bool
-	gen   uint64
-
-	rows    [][]int
-	delta   Delta
-	moved   []bool // scratch bitmask over nodes, cleared after each Step
-	scratch []int  // fresh-neighbor query buffer
+	nw   *Network
+	gen  uint64  // network position version at the last refill
+	rows [][]int // nil until the first refill
 }
 
-// Pair is an undirected node pair with A < B.
-type Pair struct {
-	A, B int
-}
-
-// Delta reports what one mobility step changed. The slices are owned by
-// the view and reused: they are valid until the next StepDelta call.
-type Delta struct {
-	// Moved lists the nodes whose position changed, ascending.
-	Moved []int
-	// Gained and Lost list the links that appeared/disappeared, each pair
-	// exactly once.
-	Gained []Pair
-	Lost   []Pair
-}
-
-// AdjacencyView returns a fresh incremental view of the network's
-// neighbor lists. Each caller owns its view: views never share row
-// buffers, so concurrent *readers* of one static network may each hold
-// one safely. Stepping a view mutates the underlying network and needs
-// the same exclusive access Network.Step does.
+// AdjacencyView returns a fresh adjacency view of the network. Each
+// caller owns its view: views never share row buffers, so concurrent
+// *readers* of one static network may each hold one safely. Stepping a
+// view mutates the underlying network and needs the same exclusive
+// access Network.Step does.
 func (nw *Network) AdjacencyView() *Adjacency {
 	return &Adjacency{nw: nw}
 }
 
-// Network returns the network the view is bound to.
-func (v *Adjacency) Network() *Network { return v.nw }
-
-// Rebind points the view at another network, keeping its buffers for
-// reuse. Rebinding to the network it is already bound to is a no-op, so
-// pooled engines that see the same network again keep the synchronised
-// rows and skip the rebuild entirely.
-func (v *Adjacency) Rebind(nw *Network) {
-	if v.nw != nw {
-		v.nw = nw
-		v.built = false
-	}
-}
-
-// sync rebuilds the rows if the view has never been built or the network
-// has moved since the view last saw it.
-func (v *Adjacency) sync() {
-	if v.built && v.gen == v.nw.posGen {
-		return
-	}
-	v.rows = v.nw.AdjacencyInto(v.rows)
-	v.gen = v.nw.posGen
-	v.built = true
-}
-
-// Rows returns the current neighbor lists, synchronising first if the
-// network moved. The structure is view-owned and patched in place by
-// StepDelta; it is valid until the next StepDelta, Rebind, or network
-// mutation. Per-row contents and ordering are identical to
-// Network.AdjacencyLists; the one representational difference is that a
-// row emptied by patching is empty-but-non-nil rather than nil (callers
-// test len, as the engines do).
+// Rows returns the current neighbor lists, refilling first if the
+// network moved since the last refill. The structure is view-owned and
+// reused; it is valid until the next StepDelta or network mutation.
+// Contents and ordering are identical to Network.AdjacencyLists.
 func (v *Adjacency) Rows() [][]int {
-	v.sync()
+	if v.rows == nil || v.gen != v.nw.posGen {
+		v.rows = v.nw.AdjacencyInto(v.rows)
+		v.gen = v.nw.posGen
+	}
 	return v.rows
 }
 
 // StepDelta advances the bound network's random-waypoint mobility by dt
-// seconds — consuming the mobility PRNG exactly like Network.Step — and
-// patches the view in place, touching only the rows incident to nodes
-// that actually moved. It returns the delta (view-owned, valid until the
-// next StepDelta). When no node moves (a static network, or every node
-// pausing), the network's position version is unchanged and the patch
-// phase is skipped entirely.
-func (v *Adjacency) StepDelta(dt float64) (*Delta, error) {
-	if dt < 0 {
-		return nil, fmt.Errorf("topology: negative time step %g", dt)
+// seconds — exactly Network.Step — and refills the rows if any node
+// moved. It reports whether any node moved; on a static network (or
+// when every node is pausing) the refill is skipped.
+func (v *Adjacency) StepDelta(dt float64) (bool, error) {
+	gen := v.nw.posGen
+	if err := v.nw.Step(dt); err != nil {
+		return false, err
 	}
-	v.sync()
-	nw := v.nw
-	n := nw.cfg.N
-	if len(v.moved) != n {
-		v.moved = make([]bool, n)
-	}
-	d := &v.delta
-	d.Moved = d.Moved[:0]
-	d.Gained = d.Gained[:0]
-	d.Lost = d.Lost[:0]
-
-	for i := range nw.pos {
-		p := nw.pos[i]
-		nw.stepNode(i, dt)
-		if nw.pos[i] != p {
-			v.moved[i] = true
-			d.Moved = append(d.Moved, i)
-		}
-		nw.g.update(i, nw.pos[i])
-	}
-	if len(d.Moved) == 0 {
-		return d, nil
-	}
-	nw.posGen++
-
-	// Patch pass, moved nodes in ascending order. A link can only change
-	// if at least one endpoint moved, so diffing each moved node's old row
-	// against a fresh grid query covers every changed pair. For a pair
-	// whose both endpoints moved, the earlier endpoint's diff records it
-	// (the later one sees the same flip again and skips it).
-	for _, i := range d.Moved {
-		fresh := nw.AppendNeighbors(i, v.scratch[:0])
-		old := v.rows[i]
-		a, b := 0, 0
-		for a < len(old) || b < len(fresh) {
-			switch {
-			case b == len(fresh) || (a < len(old) && old[a] < fresh[b]):
-				v.linkLost(i, old[a])
-				a++
-			case a == len(old) || fresh[b] < old[a]:
-				v.linkGained(i, fresh[b])
-				b++
-			default:
-				a++
-				b++
-			}
-		}
-		v.scratch = fresh
-		v.rows[i] = append(v.rows[i][:0], fresh...)
-	}
-	for _, i := range d.Moved {
-		v.moved[i] = false
-	}
-	v.gen = nw.posGen
-	return d, nil
-}
-
-// linkLost records that the link i–j disappeared and patches j's row.
-// Rows of moved nodes are wholesale-replaced by the caller, so only
-// unmoved neighbors are edited here; a both-moved pair is recorded once,
-// by its first-processed endpoint.
-func (v *Adjacency) linkLost(i, j int) {
-	if v.moved[j] {
-		if j < i {
-			return // already recorded when j was processed
-		}
-	} else {
-		v.rows[j] = deleteSorted(v.rows[j], i)
-	}
-	v.delta.Lost = append(v.delta.Lost, orderedPair(i, j))
-}
-
-func (v *Adjacency) linkGained(i, j int) {
-	if v.moved[j] {
-		if j < i {
-			return
-		}
-	} else {
-		v.rows[j] = insertSorted(v.rows[j], i)
-	}
-	v.delta.Gained = append(v.delta.Gained, orderedPair(i, j))
-}
-
-func orderedPair(i, j int) Pair {
-	if i < j {
-		return Pair{A: i, B: j}
-	}
-	return Pair{A: j, B: i}
+	v.Rows()
+	return v.nw.posGen != gen, nil
 }

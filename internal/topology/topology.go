@@ -94,8 +94,7 @@ type Network struct {
 	rangeSq   float64
 	// posGen counts position mutations: any Step that moved at least one
 	// node, and every SetPositions, bumps it. Adjacency views compare it
-	// to detect staleness, which is what lets static networks (and static
-	// phases of mobile runs) skip adjacency work entirely.
+	// to detect staleness, so a static network is snapshotted once.
 	posGen uint64
 }
 
@@ -164,10 +163,8 @@ func (nw *Network) Positions() []Point {
 	return append([]Point(nil), nw.pos...)
 }
 
-// stepNode advances one node's random-waypoint state by dt seconds. It
-// is the shared inner loop of Step and Adjacency.Step: both must consume
-// the mobility PRNG identically, or the delta-patched and rebuilt paths
-// would diverge. The caller maintains the spatial index.
+// stepNode advances one node's random-waypoint state by dt seconds. The
+// caller maintains the spatial index.
 func (nw *Network) stepNode(i int, dt float64) {
 	remaining := dt
 	for remaining > 0 {
@@ -235,13 +232,6 @@ func (nw *Network) Step(dt float64) error {
 	}
 	return nil
 }
-
-// PositionVersion returns a counter that changes whenever any node
-// position has changed (mobility steps that moved someone, SetPositions).
-// Consumers holding derived structures — adjacency views, masked churn
-// snapshots — compare it to decide whether a refresh is needed; on a
-// static network it never changes.
-func (nw *Network) PositionVersion() uint64 { return nw.posGen }
 
 // SetPositions replaces every node position (copying pts) and re-indexes
 // the spatial grid. Positions must lie inside the deployment area; the
