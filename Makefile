@@ -3,7 +3,7 @@
 # How long `test-fuzz` spends per fuzz target.
 FUZZTIME ?= 5s
 
-.PHONY: all build vet test test-diff test-fuzz test-race smoke-daemon cover bench bench-quick bench-json bench-replicate bench-smoke profile experiments experiments-quick fmt
+.PHONY: all build vet test test-diff test-fuzz test-race test-perfbench smoke-daemon cover bench bench-quick bench-json bench-replicate bench-smoke profile experiments experiments-quick fmt
 
 all: build test test-race
 
@@ -14,11 +14,12 @@ vet:
 	go vet ./...
 
 # The default test path: vet, the full suite (which replays every fuzz
-# seed corpus), the engine-equivalence matrix, then a short live-fuzz
-# pass over each target.
+# seed corpus), the engine-equivalence matrix, the perfbench module,
+# then a short live-fuzz pass over each target.
 test: vet
 	go test ./...
 	$(MAKE) test-diff
+	$(MAKE) test-perfbench
 	$(MAKE) test-fuzz
 
 # Differential equivalence: the event-skipping engines must reproduce
@@ -45,6 +46,12 @@ test-fuzz:
 # concurrency-heavy; run it under the race detector too.
 test-race:
 	go test -race ./...
+
+# perfbench is a module of its own (it points at the repository root
+# with a replace directive), so the root `go vet ./...` and
+# `go test ./...` never reach it. Vet and test it from its directory.
+test-perfbench:
+	cd perfbench && go vet ./... && go test ./...
 
 # End-to-end daemon smoke under the race detector: boots selfishmacd
 # in-process on an ephemeral port, runs a tiny replicate job to Done,

@@ -25,6 +25,27 @@ import (
 	"selfishmac/internal/service"
 )
 
+// Connection timeouts guard the listener against slow or idle clients.
+// Every response (status, listing, result, progress tail) is written in
+// one go and never waits on a job, so a write deadline only ever cuts
+// off a client that reads too slowly.
+const (
+	readHeaderTimeout = 10 * time.Second
+	writeTimeout      = time.Minute
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer wraps the service handler in an http.Server with the
+// connection timeouts above.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		WriteTimeout:      writeTimeout,
+		IdleTimeout:       idleTimeout,
+	}
+}
+
 // osExit is swapped out by the smoke test; the second signal must not
 // kill the test process.
 var osExit = os.Exit
@@ -76,7 +97,7 @@ func run(args []string, sigs <-chan os.Signal, stdout, stderr io.Writer, onReady
 		return err
 	}
 	srv.Start()
-	httpSrv := &http.Server{Handler: srv.Handler()}
+	httpSrv := newHTTPServer(srv.Handler())
 	fmt.Fprintf(stdout, "selfishmacd: listening on http://%s (%d workers, queue %d)\n",
 		ln.Addr(), srv.Config().Workers, srv.Config().QueueCap)
 	if onReady != nil {

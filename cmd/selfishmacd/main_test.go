@@ -326,3 +326,18 @@ func init() {
 	// Guard against a stray second-signal path calling os.Exit mid-test.
 	osExit = func(code int) { panic(fmt.Sprintf("osExit(%d) called in test", code)) }
 }
+
+// TestHTTPServerTimeouts pins the listener's connection timeouts: slow
+// or idle clients are cut off.
+func TestHTTPServerTimeouts(t *testing.T) {
+	srv := newHTTPServer(http.NotFoundHandler())
+	for name, d := range map[string]time.Duration{
+		"ReadHeaderTimeout": srv.ReadHeaderTimeout,
+		"WriteTimeout":      srv.WriteTimeout,
+		"IdleTimeout":       srv.IdleTimeout,
+	} {
+		if d <= 0 {
+			t.Errorf("%s = %v, want > 0", name, d)
+		}
+	}
+}

@@ -1,9 +1,8 @@
 package macsim
 
 import (
-	"math/bits"
-
 	"selfishmac/internal/backoff"
+	"selfishmac/internal/occupancy"
 	"selfishmac/internal/rng"
 )
 
@@ -68,12 +67,12 @@ type fastEngine struct {
 	// worst-case cw << MaxStage span up front. Capacity never shrinks
 	// while the engine lives, so every filed expiry lies within one
 	// calendar wrap of the current slot and every non-empty bucket holds
-	// nodes of exactly one expiry value (the invariant nextBucket and the
-	// bucket-drain rely on).
+	// nodes of exactly one expiry value (the invariant the bucket scan
+	// and the bucket-drain rely on).
 	mask int64
 	head []int16
 	next []int16
-	occ  []uint64
+	occ  occupancy.Bitmap
 
 	src          rng.Source
 	transmitters []int
@@ -116,7 +115,7 @@ func newFastEngine(cfg *Config) (*fastEngine, bool) {
 		mask:         int64(b) - 1,
 		head:         make([]int16, b),
 		next:         make([]int16, n),
-		occ:          make([]uint64, b/64),
+		occ:          occupancy.New(b),
 		transmitters: make([]int, 0, n),
 	}
 	copy(e.cw, cfg.CW)
@@ -177,9 +176,7 @@ func (e *fastEngine) reset() {
 	for i := range e.head {
 		e.head[i] = -1
 	}
-	for i := range e.occ {
-		e.occ[i] = 0
-	}
+	clear(e.occ)
 	e.res = Result{Nodes: e.res.Nodes}
 	for i := range e.res.Nodes {
 		e.res.Nodes[i] = NodeStats{}
@@ -204,7 +201,7 @@ func (e *fastEngine) enqueue(i int, cur int64) {
 	b := exp & e.mask
 	e.next[i] = e.head[b]
 	e.head[b] = int16(i)
-	e.occ[b>>6] |= 1 << uint(b&63)
+	e.occ.Set(b)
 }
 
 // grow doubles the calendar until one wrap covers a draw of span slots,
@@ -223,7 +220,7 @@ func (e *fastEngine) grow(span int64) {
 	for i := range head {
 		head[i] = -1
 	}
-	occ := make([]uint64, b/64)
+	occ := occupancy.New(int(b))
 	mask := b - 1
 	for _, h := range e.head {
 		for i := h; i >= 0; {
@@ -231,28 +228,11 @@ func (e *fastEngine) grow(span int64) {
 			nb := e.expiry[i] & mask
 			e.next[i] = head[nb]
 			head[nb] = int16(i)
-			occ[nb>>6] |= 1 << uint(nb&63)
+			occ.Set(nb)
 			i = ni
 		}
 	}
 	e.head, e.occ, e.mask = head, occ, mask
-}
-
-// nextBucket returns the first non-empty bucket at or cyclically after
-// virtual slot cur. Because the calendar spans more than the largest
-// window, the cyclically-nearest occupied bucket is the minimum expiry.
-func (e *fastEngine) nextBucket(cur int64) int64 {
-	b0 := cur & e.mask
-	w := int(b0 >> 6)
-	word := e.occ[w] &^ (1<<uint(b0&63) - 1)
-	for word == 0 {
-		w++
-		if w == len(e.occ) {
-			w = 0
-		}
-		word = e.occ[w]
-	}
-	return int64(w<<6 + bits.TrailingZeros64(word))
 }
 
 // run executes the simulation to completion and finalises the result.
@@ -263,7 +243,10 @@ func (e *fastEngine) run() *Result {
 	var cur int64 // current virtual slot
 
 	for elapsed < cfg.Duration {
-		b := e.nextBucket(cur)
+		// The calendar spans more than the largest window and is never
+		// empty, so the cyclically nearest occupied bucket holds the
+		// minimum expiry.
+		b, _ := e.occ.Next(cur & e.mask)
 		emin := e.expiry[e.head[b]] // bucket holds one expiry value only
 		if minC := emin - cur; minC > 0 {
 			elapsed += float64(minC) * cfg.Timing.Slot
@@ -276,7 +259,7 @@ func (e *fastEngine) run() *Result {
 			tx = append(tx, int(i))
 		}
 		e.head[b] = -1
-		e.occ[b>>6] &^= 1 << uint(b&63)
+		e.occ.Clear(b)
 		sortAscending(tx) // draw order is ascending node order
 		e.transmitters = tx
 

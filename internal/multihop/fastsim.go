@@ -13,7 +13,7 @@ import (
 // them are mid-backoff; this engine tracks, per node, the absolute slot
 // at which it will next reach counter zero and act (its fire slot), and
 // jumps the clock directly to the minimum fire slot — the next event
-// horizon over counter expiries, busyUntil/txUntil freezes and pending
+// horizon over counter expiries, carrier-hold freezes and pending
 // mobility steps. Idle slots are never visited. The minimum is found
 // through the fire-slot calendar (firering.go), a bucket ring: freeze
 // shifts update fire[] only, stale calendar entries are repaired when
@@ -21,18 +21,28 @@ import (
 // event selection costs O(1) amortized per calendar touch instead of the
 // former O(n) scan, which dominated the per-op profile at n >= 1000.
 //
-// Freeze/resume accounting is carried in the fire slots themselves. With
-// "blocked" meaning max(busyUntil, txUntil) > t:
+// Freeze/resume accounting is carried in the fire slots themselves. The
+// loop keeps one hold slot per node, hold[k] = max(busyUntil, txUntil):
+// the first slot at which node k is neither transmitting nor sensing a
+// busy channel. It is the only value of the two the loop ever reads —
+// the receiver-deaf check, the carrier update and the transmitter
+// resume all use hold. A transmission from some i that covers its
+// neighbor k until slot `until` freezes k for the slots of
+// t+1 .. until-1 not already held, so
 //
-//   - A node counting at slot t (not blocked) that a new transmission
-//     covers until slot `until` freezes for slots t+1 .. until-1; having
-//     already decremented at t, its fire slot shifts by until-t-1.
-//   - A node already blocked until bOld that the new transmission extends
-//     to until > bOld freezes for until-bOld more slots; its fire slot
-//     shifts by until-bOld. (No shift when until <= bOld.)
+//	fire[k] += max(until - max(hold[k], t+1), 0)
+//	hold[k]  = max(hold[k], until)
+//
+// A node counting at t (hold[k] <= t) has already decremented at t and
+// shifts by until-t-1; a node held until bOld shifts by until-bOld, or
+// not at all when until <= bOld. The shift is applied to every
+// neighbor, co-transmitters included: a transmitter's fire slot is
+// overwritten after phase 2 anyway —
+//
 //   - A transmitter redraws counter c at slot t and resumes counting at
-//     b = max(txUntil, busyUntil) as known at the end of the slot — its
-//     co-transmitters' carrier updates included — so it fires at b + c.
+//     hold[i] as known at the end of the slot — its own transmission and
+//     its co-transmitters' carrier updates included — so it fires at
+//     hold[i] + c.
 //   - An isolated node (empty adjacency) redraws c at its fire slot t and
 //     resumes at t+1, so it fires at t+1+c; carrier freezes from later
 //     transmitters in the same slot then shift it like any counting node.
@@ -79,7 +89,7 @@ type simState struct {
 	transmitters []int
 	receivers    []int
 	inTx         []bool
-	drawn        []int // transmitter's fresh counter, for fire recompute
+	hold         []int64 // max(busyUntil, txUntil): first slot node is free
 	res          SimResult
 
 	tsSlots, tcSlots   int64
@@ -102,7 +112,7 @@ func (st *simState) init(nw Topology, mobile *topology.Network, cfg SimConfig) {
 	st.transmitters = growSlice(st.transmitters, n)[:0]
 	st.receivers = growSlice(st.receivers, n)
 	st.inTx = growSlice(st.inTx, n)
-	st.drawn = growSlice(st.drawn, n)
+	st.hold = growSlice(st.hold, n)
 	st.res.Nodes = growSlice(st.res.Nodes, n)
 	st.adj = nw.AdjacencyInto(st.adj)
 
@@ -162,6 +172,7 @@ func (st *simState) reset(seed uint64) {
 		st.nodes[i].draw(&st.src, st.cfg.MaxStage)
 		st.fire[i] = int64(st.nodes[i].counter)
 		st.inTx[i] = false
+		st.hold[i] = 0
 	}
 	st.cal.init(st.n, st.calSpan())
 	st.cal.rebuild(st.fire)
@@ -190,7 +201,7 @@ func (st *simState) stepMobility() error {
 func (st *simState) run() (*SimResult, error) {
 	nw, cfg := st.nw, &st.cfg
 	nodes, fire := st.nodes, st.fire
-	receivers, inTx, drawn := st.receivers, st.inTx, st.drawn
+	receivers, inTx, hold := st.receivers, st.inTx, st.hold
 	adj := st.adj
 	res := &st.res
 	totalSlots := st.totalSlots
@@ -264,11 +275,12 @@ func (st *simState) run() (*SimResult, error) {
 
 			ok := true
 			hidden := false
-			if inTx[r] || nodes[r].busyUntil > t || nodes[r].txUntil > t {
+			if inTx[r] || hold[r] > t {
 				// Receiver deaf: transmitting itself or in a busy locale.
 				ok = false
 			}
-			if ok {
+			if ok && len(transmitters) > 1 {
+				// A lone transmitter has no interferer to find.
 				for _, j := range adj[r] {
 					if j == i || !inTx[j] {
 						continue
@@ -294,39 +306,21 @@ func (st *simState) run() (*SimResult, error) {
 					nodes[i].stage++
 				}
 			}
-			nodes[i].txUntil = t + dur
-			nodes[i].draw(&st.src, cfg.MaxStage)
-			drawn[i] = nodes[i].counter
-			// Carrier sensing: everyone in range of the transmitter
-			// holds; shift non-transmitters' fire slots by the slots the
-			// new hold freezes on top of what already blocked them.
 			until := t + dur
+			hold[i] = max(hold[i], until)
+			nodes[i].draw(&st.src, cfg.MaxStage)
+			// Carrier sensing: everyone in range of the transmitter
+			// holds; shift fire slots by the slots the new hold freezes
+			// on top of what already held them.
 			for _, k := range adj[i] {
-				nd := &nodes[k]
-				if !inTx[k] {
-					bOld := nd.busyUntil
-					if nd.txUntil > bOld {
-						bOld = nd.txUntil
-					}
-					if bOld <= t {
-						fire[k] += until - t - 1
-					} else if until > bOld {
-						fire[k] += until - bOld
-					}
-				}
-				if nd.busyUntil < until {
-					nd.busyUntil = until
-				}
+				fire[k] += max(until-max(hold[k], t+1), 0)
+				hold[k] = max(hold[k], until)
 			}
 		}
 		// Transmitters resume counting once their own transmission and
 		// every carrier hold known by the end of the slot are over.
 		for _, i := range transmitters {
-			b := nodes[i].busyUntil
-			if nodes[i].txUntil > b {
-				b = nodes[i].txUntil
-			}
-			fire[i] = b + int64(drawn[i])
+			fire[i] = hold[i] + int64(nodes[i].counter)
 			st.cal.file(fire[i], int32(i))
 			inTx[i] = false
 		}

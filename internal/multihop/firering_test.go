@@ -1,15 +1,19 @@
 package multihop
 
 import (
+	"fmt"
 	"reflect"
 	"sort"
 	"testing"
+
+	"selfishmac/internal/rng"
 )
 
 // firering_test.go pins the bucket-ring calendar's contract: expired
-// sets come back in ascending node order, and entries filed several ring
+// sets come back in ascending node order, entries filed several ring
 // widths ahead — clamped on filing, re-filed on visit — still expire at
-// their exact slot, in ascending slot order.
+// their exact slot, in ascending slot order, and the occupancy bitmap
+// finds the next bucket across word boundaries and the ring's wrap.
 
 func TestNextPow2(t *testing.T) {
 	cases := map[int64]int64{1: 1, 2: 2, 3: 4, 4: 4, 5: 8, 1023: 1024, 1024: 1024, 1025: 2048}
@@ -96,5 +100,174 @@ func TestFireRingExpiredAscending(t *testing.T) {
 		if expired[i-1] >= expired[i] {
 			t.Fatalf("expired not ascending at %d: %v", i, expired)
 		}
+	}
+}
+
+// naiveNextEvent is the calendar's oracle: a min-scan over fire[]. It
+// returns the smallest fire slot and every node at it, ascending, or
+// limit and nil when that slot is not before limit.
+func naiveNextEvent(fire []int64, limit int64) (int64, []int) {
+	t := limit
+	for _, f := range fire {
+		t = min(t, f)
+	}
+	if t >= limit {
+		return limit, nil
+	}
+	var nodes []int
+	for i, f := range fire {
+		if f == t {
+			nodes = append(nodes, i)
+		}
+	}
+	return t, nodes
+}
+
+// TestFireRingLockstepRandom drives the ring and the naive min-scan in
+// lockstep, the way the engine does: expired nodes are re-filed ahead,
+// and other nodes' fire slots are shifted forward behind the ring's back
+// (carrier freezes). Widths run from the 64-bucket minimum to the cap;
+// the clamped variants draw slots up to four ring widths ahead.
+func TestFireRingLockstepRandom(t *testing.T) {
+	for _, w := range []int64{64, 128, 1 << 10, 1 << 13, maxRingSpan} {
+		for _, clamped := range []bool{false, true} {
+			reach := w // a fresh draw lands 1 .. reach slots ahead
+			if clamped {
+				reach = 4 * w
+			}
+			t.Run(fmt.Sprintf("w%d-clamped=%v", w, clamped), func(t *testing.T) {
+				src := rng.New(uint64(w) ^ 0x5eed)
+				const n, events = 40, 3000
+				fire := make([]int64, n)
+				for i := range fire {
+					fire[i] = int64(src.Intn(int(reach)))
+				}
+				var ring fireRing
+				ring.init(n, w)
+				if ring.mask+1 != w {
+					t.Fatalf("ring width %d, want %d", ring.mask+1, w)
+				}
+				ring.rebuild(fire)
+				limit := int64(1) << 40
+				for e := 0; e < events; e++ {
+					wantSlot, wantNodes := naiveNextEvent(fire, limit)
+					slot, got := ring.nextEvent(fire, limit, nil)
+					if slot != wantSlot || !reflect.DeepEqual(got, wantNodes) {
+						t.Fatalf("event %d: ring (%d, %v), naive (%d, %v)", e, slot, got, wantSlot, wantNodes)
+					}
+					for _, i := range got {
+						// A tight draw now and then keeps several nodes
+						// expiring together.
+						d := 1 + int64(src.Intn(int(reach)))
+						if src.Intn(4) == 0 {
+							d = 1 + int64(src.Intn(3))
+						}
+						fire[i] = slot + d
+						ring.file(fire[i], int32(i))
+					}
+					for k := 0; k < 3; k++ {
+						i := src.Intn(n)
+						fire[i] += int64(src.Intn(int(reach)))
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestFireRingEmptyReturnsLimit: with nothing filed — from the start, or
+// once the last entry has expired without being re-filed — nextEvent
+// returns limit with an empty set instead of scanning forever.
+func TestFireRingEmptyReturnsLimit(t *testing.T) {
+	var ring fireRing
+	ring.init(0, 64)
+	ring.rebuild(nil)
+	if slot, got := ring.nextEvent(nil, 1000, nil); slot != 1000 || len(got) != 0 {
+		t.Fatalf("empty ring: (%d, %v), want (1000, [])", slot, got)
+	}
+
+	fire := []int64{5}
+	ring.init(1, 8)
+	if ring.mask+1 != minRingSpan {
+		t.Fatalf("ring width %d for an 8-slot span, want the %d minimum", ring.mask+1, minRingSpan)
+	}
+	ring.rebuild(fire)
+	if slot, got := ring.nextEvent(fire, 1000, nil); slot != 5 || !reflect.DeepEqual(got, []int{0}) {
+		t.Fatalf("first event (%d, %v), want (5, [0])", slot, got)
+	}
+	if slot, got := ring.nextEvent(fire, 1000, nil); slot != 1000 || len(got) != 0 {
+		t.Fatalf("drained ring: (%d, %v), want (1000, [])", slot, got)
+	}
+}
+
+// TestFireRingBitmapEdges pins the bitmap scan at its edges: buckets 63
+// and 64 on either side of a word boundary, a jump from bucket 0 past
+// the rest of its word, the wrap from bucket W-1 back to 0, and an entry
+// whose bucket lies below the current one in the same word, which only
+// a full wrap of the bitmap reaches.
+func TestFireRingBitmapEdges(t *testing.T) {
+	type event struct {
+		slot  int64
+		nodes []int
+	}
+	drain := func(ring *fireRing, fire []int64, refile func(slot int64, i int) int64, limit int64) []event {
+		var got []event
+		for {
+			slot, nodes := ring.nextEvent(fire, limit, nil)
+			if slot >= limit {
+				return got
+			}
+			got = append(got, event{slot, nodes})
+			for _, i := range nodes {
+				if f := refile(slot, i); f >= 0 {
+					fire[i] = f
+					ring.file(f, int32(i))
+				}
+			}
+		}
+	}
+	never := func(int64, int) int64 { return -1 }
+	cases := []struct {
+		name   string
+		width  int64
+		fire   []int64
+		refile func(slot int64, i int) int64
+		want   []event
+	}{
+		{"word-boundary-63-64", 128, []int64{64, 63}, never, []event{{63, []int{1}}, {64, []int{0}}}},
+		{"skip-rest-of-word", 128, []int64{0, 64, 127}, never, []event{{0, []int{0}}, {64, []int{1}}, {127, []int{2}}}},
+		{
+			"wrap-w-1-to-0", 64, []int64{63},
+			func(slot int64, _ int) int64 {
+				if slot == 63 {
+					return 64 // bucket 0 of the next lap
+				}
+				return -1
+			},
+			[]event{{63, []int{0}}, {64, []int{0}}},
+		},
+		{
+			"lower-bucket-same-word", 64, []int64{60},
+			func(slot int64, _ int) int64 {
+				if slot == 60 {
+					return 66 // bucket 2, below bucket 60 in the only word
+				}
+				return -1
+			},
+			[]event{{60, []int{0}}, {66, []int{0}}},
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var ring fireRing
+			ring.init(len(tc.fire), tc.width)
+			if ring.mask+1 != tc.width {
+				t.Fatalf("ring width %d, want %d", ring.mask+1, tc.width)
+			}
+			ring.rebuild(tc.fire)
+			if got := drain(&ring, tc.fire, tc.refile, 1000); !reflect.DeepEqual(got, tc.want) {
+				t.Fatalf("events %v, want %v", got, tc.want)
+			}
+		})
 	}
 }

@@ -176,6 +176,9 @@ func (r *SimResult) MeanPayoffRate() float64 {
 	return r.GlobalPayoffRate() / float64(len(r.Nodes))
 }
 
+// spatialNode is one node's backoff state. busyUntil and txUntil are
+// read by the reference loop only; the fast engine keeps their maximum
+// in simState.hold.
 type spatialNode struct {
 	cw        int
 	stage     int

@@ -29,9 +29,12 @@ type Server struct {
 	queue   *jobQueue
 	runners map[string]RunnerFunc
 
-	mu    sync.Mutex
-	jobs  map[string]*Job
-	order []string // submission order, for stable listings
+	mu          sync.Mutex
+	jobs        map[string]*Job
+	order       []string // submission order, for stable listings; may hold evicted or refused IDs
+	retired     []string // finished jobs still retained, oldest first
+	evicted     int      // IDs in order that are no longer in jobs
+	maxRetained int      // finished jobs kept queryable; maxRetainedJobs outside tests
 
 	seq      atomic.Uint64
 	draining atomic.Bool
@@ -42,6 +45,12 @@ type Server struct {
 	started    atomic.Bool
 }
 
+// maxRetainedJobs bounds how many finished (Done, Failed, Cancelled)
+// jobs stay queryable, 16x the default QueueCap. Past it the oldest
+// finished job is forgotten and its ID answers 404, so memory stays
+// bounded however many jobs a long-running daemon completes.
+const maxRetainedJobs = 1024
+
 // New builds a server from cfg (defaults applied, then validated) with
 // the built-in job kinds registered.
 func New(cfg Config) (*Server, error) {
@@ -51,12 +60,13 @@ func New(cfg Config) (*Server, error) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Server{
-		cfg:        cfg,
-		queue:      newJobQueue(cfg.QueueCap),
-		runners:    make(map[string]RunnerFunc),
-		jobs:       make(map[string]*Job),
-		baseCtx:    ctx,
-		hardCancel: cancel,
+		cfg:         cfg,
+		queue:       newJobQueue(cfg.QueueCap),
+		runners:     make(map[string]RunnerFunc),
+		jobs:        make(map[string]*Job),
+		maxRetained: maxRetainedJobs,
+		baseCtx:     ctx,
+		hardCancel:  cancel,
 	}
 	registerBuiltins(s)
 	return s, nil
@@ -139,7 +149,8 @@ func (s *Server) Submit(req SubmitRequest) (*Job, error) {
 	if err := s.queue.push(j); err != nil {
 		s.mu.Lock()
 		delete(s.jobs, j.ID)
-		s.order = s.order[:len(s.order)-1]
+		s.evicted++
+		s.compactOrderLocked()
 		s.mu.Unlock()
 		return nil, err
 	}
@@ -157,15 +168,48 @@ func (s *Server) Job(id string) (*Job, error) {
 	return j, nil
 }
 
-// Jobs lists every known job in submission order.
+// Jobs lists every retained job in submission order.
 func (s *Server) Jobs() []*Job {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make([]*Job, 0, len(s.order))
+	out := make([]*Job, 0, len(s.jobs))
 	for _, id := range s.order {
-		out = append(out, s.jobs[id])
+		if j, ok := s.jobs[id]; ok {
+			out = append(out, j)
+		}
 	}
 	return out
+}
+
+// retire records that a finished job has left the queue and the
+// workers for good, then evicts the oldest finished jobs beyond
+// maxRetained.
+func (s *Server) retire(j *Job) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.retired = append(s.retired, j.ID)
+	for len(s.retired) > s.maxRetained {
+		delete(s.jobs, s.retired[0])
+		s.retired = s.retired[1:]
+		s.evicted++
+	}
+	s.compactOrderLocked()
+}
+
+// compactOrderLocked drops evicted and refused IDs from order in one
+// pass once they make up half of it, so order stays within twice the
+// registry and removal costs amortized O(1) per job. Callers hold s.mu.
+func (s *Server) compactOrderLocked() {
+	if s.evicted > len(s.order)/2 {
+		kept := s.order[:0]
+		for _, id := range s.order {
+			if _, ok := s.jobs[id]; ok {
+				kept = append(kept, id)
+			}
+		}
+		clear(s.order[len(kept):])
+		s.order, s.evicted = kept, 0
+	}
 }
 
 // Cancel requests cancellation of a job by ID.
@@ -187,6 +231,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	s.draining.Store(true)
 	for _, j := range s.queue.close() {
 		j.requestCancel("cancelled: service shutting down")
+		s.retire(j)
 	}
 	idle := make(chan struct{})
 	go func() {
@@ -222,6 +267,7 @@ func (s *Server) worker() {
 // runJob executes one job with panic recovery, a deadline, and terminal
 // classification. A panic never propagates past this frame.
 func (s *Server) runJob(j *Job) {
+	defer s.retire(j)
 	jctx, cancel := context.WithTimeout(s.baseCtx, j.Timeout)
 	defer cancel()
 	if !j.markRunning(cancel) {

@@ -7,7 +7,9 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -785,5 +787,172 @@ func TestJobIDsAreSequential(t *testing.T) {
 	}
 	if want := fmt.Sprintf("j%06d", 3); prev != want {
 		t.Errorf("third ID = %q, want %q", prev, want)
+	}
+}
+
+// TestRetentionBoundsFinishedJobs pushes far more jobs than
+// maxRetained through a one-worker server: the registry never holds
+// more than the retained finished jobs plus a full queue plus the jobs
+// on the workers, the newest results stay readable, and an evicted ID
+// answers 404.
+func TestRetentionBoundsFinishedJobs(t *testing.T) {
+	const keep, total = 16, 400
+	s := newTestServer(t, func(c *Config) { c.Workers = 1; c.QueueCap = 4 })
+	s.maxRetained = keep
+	s.RegisterRunner("echo", func(_ context.Context, params json.RawMessage, _ func(v any)) (any, error) {
+		return string(params), nil
+	})
+	bound := keep + s.Config().QueueCap + s.Config().Workers
+	var submitted, pending []*Job
+	for i := 0; i < total; i++ {
+		req := SubmitRequest{Kind: "echo", Params: json.RawMessage(strconv.Itoa(i))}
+		j, err := s.Submit(req)
+		for errors.Is(err, ErrQueueFull) {
+			waitTerminal(t, pending[0])
+			pending = pending[1:]
+			j, err = s.Submit(req)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		submitted = append(submitted, j)
+		pending = append(pending, j)
+		if n := len(s.Jobs()); n > bound {
+			t.Fatalf("after %d submits the registry holds %d jobs, want <= %d", i+1, n, bound)
+		}
+	}
+	for _, j := range pending {
+		waitTerminal(t, j)
+	}
+	for i, j := range submitted[total-keep:] {
+		got, err := s.Job(j.ID)
+		if err != nil {
+			t.Fatalf("newest job %s evicted: %v", j.ID, err)
+		}
+		result, state, _ := got.resultNow()
+		if want := strconv.Itoa(total - keep + i); state != StateDone || result != want {
+			t.Fatalf("job %s = %v (%s), want %q done", j.ID, result, state, want)
+		}
+	}
+
+	srv := httptest.NewServer(s.Handler())
+	defer srv.Close()
+	for id, want := range map[string]int{
+		submitted[0].ID:       http.StatusNotFound,
+		submitted[total-1].ID: http.StatusOK,
+	} {
+		resp, err := http.Get(srv.URL + "/api/v1/jobs/" + id + "/result")
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != want {
+			t.Errorf("GET result of %s = %d, want %d", id, resp.StatusCode, want)
+		}
+	}
+}
+
+// TestRetentionConcurrent retires jobs from several workers while
+// several clients submit and list: the registry stays bounded (each
+// in-flight Submit may register one job before its push is refused) and
+// every listed job is still retrievable by ID.
+func TestRetentionConcurrent(t *testing.T) {
+	const keep, clients, perClient = 8, 4, 60
+	s := newTestServer(t, func(c *Config) { c.Workers = 4; c.QueueCap = 8 })
+	s.maxRetained = keep
+	s.RegisterRunner("noop", func(_ context.Context, _ json.RawMessage, _ func(v any)) (any, error) {
+		return "ok", nil
+	})
+	bound := keep + s.Config().QueueCap + s.Config().Workers + clients
+	stop := make(chan struct{})
+	listed := make(chan error, 1)
+	go func() {
+		defer close(listed)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if n := len(s.Jobs()); n > bound {
+				listed <- fmt.Errorf("registry holds %d jobs, want <= %d", n, bound)
+				return
+			}
+		}
+	}()
+	var wg sync.WaitGroup
+	errs := make(chan error, clients)
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var last *Job
+			for i := 0; i < perClient; i++ {
+				j, err := s.Submit(SubmitRequest{Kind: "noop"})
+				for errors.Is(err, ErrQueueFull) {
+					if last != nil {
+						<-last.done
+					}
+					j, err = s.Submit(SubmitRequest{Kind: "noop"})
+				}
+				if err != nil {
+					errs <- err
+					return
+				}
+				last = j
+			}
+			<-last.done
+		}()
+	}
+	wg.Wait()
+	close(stop)
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	if err := <-listed; err != nil {
+		t.Error(err)
+	}
+	for _, j := range s.Jobs() {
+		if _, err := s.Job(j.ID); err != nil {
+			t.Errorf("listed job %s not retrievable: %v", j.ID, err)
+		}
+	}
+}
+
+// TestRefusedSubmitsKeepOrderBounded holds every worker and queue slot
+// with blocking jobs, then has clients retry far past QueueCap: no job
+// finishes, so only the refusal path can compact order, and it must
+// keep order within twice the registry.
+func TestRefusedSubmitsKeepOrderBounded(t *testing.T) {
+	release := make(chan struct{})
+	defer close(release)
+	s := newTestServer(t, func(c *Config) { c.Workers = 2; c.QueueCap = 4 })
+	s.RegisterRunner("block", func(ctx context.Context, _ json.RawMessage, _ func(v any)) (any, error) {
+		select {
+		case <-release:
+		case <-ctx.Done():
+		}
+		return nil, nil
+	})
+	held := s.Config().Workers + s.Config().QueueCap
+	refused := 0
+	for refused < 1000 {
+		_, err := s.Submit(SubmitRequest{Kind: "block"})
+		switch {
+		case errors.Is(err, ErrQueueFull):
+			refused++
+		case err != nil:
+			t.Fatal(err)
+		}
+	}
+	s.mu.Lock()
+	jobs, order := len(s.jobs), len(s.order)
+	s.mu.Unlock()
+	if jobs > held {
+		t.Errorf("registry holds %d jobs, want <= %d", jobs, held)
+	}
+	if order > 2*held+1 {
+		t.Errorf("order holds %d IDs after %d refusals, want <= %d", order, refused, 2*held+1)
 	}
 }
